@@ -35,6 +35,7 @@ use sns_core::config::{AlgorithmKind, SnsConfig};
 use sns_data::{generate, GeneratorConfig};
 use sns_runtime::{EnginePool, EngineSpec, PoolConfig, QuarantinePolicy, SnsError, StreamSession};
 use sns_stream::StreamTuple;
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 /// Small tenant tensors: the fleet is about pipeline throughput, not
@@ -340,6 +341,13 @@ fn run_cell(
     });
     warm.into_iter().collect::<Result<Vec<()>, SnsError>>()?;
 
+    // Batch groups of either op; the prefill's groups are excluded below.
+    let groups = || -> u64 {
+        let metrics = pool.ops().metrics();
+        (0..shards).map(|s| metrics.shard(s).ingest_groups.load(Ordering::Relaxed)).sum()
+    };
+    let prefill_groups = groups();
+
     // Measured phase: every stream pipelines the live region.
     let start = Instant::now();
     let driven: Vec<Result<u64, SnsError>> = std::thread::scope(|scope| {
@@ -361,13 +369,11 @@ fn run_cell(
             p99_max_us = p99_max_us.max(snapshot.p99_us);
         }
     }
-    // Exact batch count is known (prefill ran before any pipelining, so
-    // every coalesced group the workers formed is an ingest group).
+    // Exact batch count is known, and the prefill finished before any
+    // pipelining, so the groups formed since are the measured phase's.
     let batches_per_stream = live.len().div_ceil(cfg.batch);
     let submitted = (batches_per_stream * cfg.streams) as u64;
-    let groups: u64 = (0..shards)
-        .map(|s| metrics.shard(s).ingest_groups.load(std::sync::atomic::Ordering::Relaxed))
-        .sum();
+    let groups = groups() - prefill_groups;
     let coalescing_factor = if groups > 0 { submitted as f64 / groups as f64 } else { f64::NAN };
 
     drop(sessions);

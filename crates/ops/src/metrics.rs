@@ -137,9 +137,11 @@ pub struct ShardMetrics {
     pub queue_capacity: usize,
     /// Commands processed by the worker.
     pub commands: AtomicU64,
-    /// Coalesced ingest groups executed (one group = one drain of
-    /// consecutive same-stream ingest commands driven through a single
-    /// engine call; `commands / ingest_groups` is the coalescing factor).
+    /// Batch groups executed, of either op (one group = one drain of
+    /// consecutive same-stream prefill/ingest batches applied under one
+    /// rollback capture; a lone batch is a group of one). `commands /
+    /// ingest_groups` is the coalescing factor. The name predates
+    /// prefill coalescing and is kept for the metrics JSON key.
     pub ingest_groups: AtomicU64,
     /// Engine panics caught on this shard.
     pub panics: AtomicU64,

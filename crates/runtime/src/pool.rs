@@ -27,10 +27,11 @@
 //! - the command pipeline is **zero-alloc and coalescing** at steady
 //!   state: batch buffers recycle through a per-shard freelist
 //!   (sessions take on submit, the worker returns on ack), and a shard
-//!   worker drains every consecutively queued batch for a stream in
-//!   one channel acquisition, driving them through a single engine
-//!   call — bitwise-identical to per-batch execution because the
-//!   per-tuple update sequence is untouched;
+//!   worker drains every consecutively queued batch (prefill or ingest)
+//!   for a stream in one channel acquisition and applies them as
+//!   sequential per-batch engine calls under one rollback capture —
+//!   bitwise-identical to per-batch execution because the per-tuple
+//!   update sequence is untouched;
 //! - a live stream can **migrate**: [`StreamSession::snapshot`] captures
 //!   the complete engine state ([`EngineSnapshot`]) and
 //!   [`EnginePool::restore`] resumes it on any shard (or another pool),
@@ -179,75 +180,60 @@ pub struct StreamReport {
     pub error: Option<SnsError>,
 }
 
+/// The addressing every per-stream command carries: the stream, the
+/// session epoch its slot must match (`token`), and the session-local
+/// ticket the reply answers.
+#[derive(Clone, Copy)]
+struct Head {
+    id: u64,
+    token: u64,
+    ticket: u64,
+}
+
 enum Command {
     Open {
-        id: u64,
-        token: u64,
-        ticket: u64,
+        head: Head,
         seed: u64,
         spec: EngineSpec,
         replies: Sender<SessionReply>,
     },
     Restore {
-        id: u64,
-        token: u64,
-        ticket: u64,
+        head: Head,
         snapshot: Box<EngineSnapshot>,
         replies: Sender<SessionReply>,
     },
-    Prefill {
-        id: u64,
-        token: u64,
-        ticket: u64,
+    /// A tuple batch, prefilled or ingested according to `op`. The
+    /// worker coalesces consecutively queued batches of one session into
+    /// a group (see [`Worker::apply_group`]).
+    Batch {
+        head: Head,
+        op: QuarantinedOp,
         tuples: Vec<StreamTuple>,
     },
     WarmStart {
-        id: u64,
-        token: u64,
-        ticket: u64,
+        head: Head,
         opts: AlsOptions,
     },
-    Ingest {
-        id: u64,
-        token: u64,
-        ticket: u64,
-        tuples: Vec<StreamTuple>,
-    },
     AdvanceTo {
-        id: u64,
-        token: u64,
-        ticket: u64,
+        head: Head,
         t: u64,
     },
-    Report {
-        id: u64,
-        token: u64,
-        ticket: u64,
-    },
-    Snapshot {
-        id: u64,
-        token: u64,
-        ticket: u64,
-    },
-    Close {
-        id: u64,
-        token: u64,
-    },
+    Report(Head),
+    Snapshot(Head),
+    Close(Head),
     /// Lifts a stream's quarantine (and clears its sticky error) so
     /// repaired dead-letter batches can be re-driven. Sent by
     /// [`StreamSession::replay_quarantined`] *before* the replayed
-    /// batches; FIFO ordering makes the release visible first.
-    Release {
-        id: u64,
-        token: u64,
-        ticket: u64,
-    },
+    /// batches; FIFO ordering makes the release visible first. A dark
+    /// slot (no engine) has nothing to resume and answers with its
+    /// sticky error instead.
+    Release(Head),
     /// Pool-wide checkpoint: snapshot every live slot on this shard
     /// (after draining all previously enqueued commands) and reply on a
     /// dedicated channel. Per-stream consistency follows from command
     /// ordering; sessions stay open and unaffected.
     CheckpointShard {
-        replies: Sender<Vec<(u64, Result<EngineSnapshot, SnsError>)>>,
+        replies: Sender<CheckpointResults>,
     },
     /// Unconditional slot removal (any token): open/restore send this to
     /// the shard that previously owned the stream id (per the pool's
@@ -271,6 +257,20 @@ struct SessionReply {
     ticket: u64,
     body: ReplyBody,
 }
+
+fn mismatched_reply() -> SnsError {
+    SnsError::Internal { detail: "a command was answered with the wrong reply kind".to_string() }
+}
+
+fn into_receipt(body: ReplyBody) -> Result<BatchReceipt, SnsError> {
+    match body {
+        ReplyBody::Receipt(r) => r,
+        _ => Err(mismatched_reply()),
+    }
+}
+
+/// The outcome of a command that applies no tuples.
+const NOTHING: BatchOutcome = BatchOutcome { accepted: 0, updates: 0 };
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
@@ -333,15 +333,17 @@ impl BufferPool {
 }
 
 struct StreamSlot {
+    id: u64,
     name: String,
     /// Session epoch: commands from a replaced (stale) session carry an
     /// older token and are dropped instead of mutating the new engine.
     token: u64,
     spec: EngineSpec,
     seed: u64,
-    /// `None` only when a panic could not be rolled back (no pre-batch
-    /// capture — [`QuarantinePolicy::Disabled`] or an engine without
-    /// snapshot support); the slot then keeps reporting the error.
+    /// `None` when the engine failed to build, or when a panic could not
+    /// be rolled back (no pre-batch capture —
+    /// [`QuarantinePolicy::Disabled`] or an engine without snapshot
+    /// support); the slot is then *dark* and keeps reporting the error.
     engine: Option<Box<dyn StreamingCpd>>,
     error: Option<SnsError>,
     /// Set when a batch panicked and the engine was rolled back: batches
@@ -360,6 +362,39 @@ struct StreamSlot {
 }
 
 impl StreamSlot {
+    /// A slot for a built (`Open`) or restored (`Restore`) engine; an
+    /// `Err` engine (a failed build) makes the slot dark from the start.
+    fn new(
+        w: &Worker,
+        head: Head,
+        spec: EngineSpec,
+        seed: u64,
+        engine: Result<Box<dyn StreamingCpd>, SnsError>,
+        wal_seq: u64,
+        replies: Sender<SessionReply>,
+    ) -> Self {
+        let metrics = w.ops.metrics().stream(head.id);
+        metrics.shard.store(w.shard, Ordering::Relaxed);
+        let (engine, error) = match engine {
+            Ok(engine) => (Some(engine), None),
+            Err(e) => (None, Some(e)),
+        };
+        StreamSlot {
+            id: head.id,
+            name: engine.as_ref().map_or_else(String::new, |e| e.name()),
+            token: head.token,
+            spec,
+            seed,
+            engine,
+            error,
+            quarantined: false,
+            last_flagged: 0,
+            wal_seq,
+            metrics,
+            replies,
+        }
+    }
+
     /// Runs an engine command with panic isolation: an engine that
     /// returns `Err` records the (first) error and passes it through; an
     /// engine that *panics* is quarantined (dropped) and the panic
@@ -367,11 +402,10 @@ impl StreamSlot {
     /// session all survive.
     fn guard<T>(
         &mut self,
-        id: u64,
         f: impl FnOnce(&mut dyn StreamingCpd) -> Result<T, SnsError>,
     ) -> Result<T, SnsError> {
         let Some(engine) = self.engine.as_mut() else {
-            return Err(self.error.clone().unwrap_or(SnsError::StreamClosed { stream_id: id }));
+            return Err(self.dark_error());
         };
         match catch_unwind(AssertUnwindSafe(|| f(engine.as_mut()))) {
             Ok(Ok(v)) => Ok(v),
@@ -380,7 +414,10 @@ impl StreamSlot {
                 Err(e)
             }
             Err(payload) => {
-                let e = SnsError::EnginePanicked { stream_id: id, message: panic_message(payload) };
+                let e = SnsError::EnginePanicked {
+                    stream_id: self.id,
+                    message: panic_message(payload),
+                };
                 self.error.get_or_insert(e.clone());
                 self.engine = None;
                 Err(e)
@@ -388,22 +425,33 @@ impl StreamSlot {
         }
     }
 
-    /// Sends a batch acknowledgment; the session may have hung up.
-    /// Latency is stamped session-side when the receipt is pulled.
-    fn acknowledge(&self, id: u64, ticket: u64, outcome: Result<BatchOutcome, SnsError>) {
+    /// What a dark slot answers with: its sticky error, or
+    /// `StreamClosed` if it never recorded one.
+    fn dark_error(&self) -> SnsError {
+        self.error.clone().unwrap_or(SnsError::StreamClosed { stream_id: self.id })
+    }
+
+    /// Sends a reply; the session may have hung up.
+    fn reply(&self, ticket: u64, body: ReplyBody) {
+        let _ = self.replies.send(SessionReply { ticket, body });
+    }
+
+    /// Sends a batch acknowledgment. Latency is stamped session-side
+    /// when the receipt is pulled.
+    fn acknowledge(&self, ticket: u64, outcome: Result<BatchOutcome, SnsError>) {
         let receipt = outcome.map(|o| BatchReceipt {
-            stream_id: id,
+            stream_id: self.id,
             ticket,
             accepted: o.accepted,
             updates: o.updates,
             latency: Duration::ZERO,
         });
-        let _ = self.replies.send(SessionReply { ticket, body: ReplyBody::Receipt(receipt) });
+        self.reply(ticket, ReplyBody::Receipt(receipt));
     }
 
-    fn report(&mut self, id: u64) -> StreamReport {
+    fn report(&mut self) -> StreamReport {
         let metrics = self
-            .guard(id, |e| {
+            .guard(|e| {
                 Ok((
                     e.fitness(),
                     e.updates_applied(),
@@ -416,7 +464,7 @@ impl StreamSlot {
         let (fitness, updates_applied, num_parameters, diverged, anomalies) =
             metrics.unwrap_or((f64::NAN, 0, 0, false, None));
         StreamReport {
-            stream_id: id,
+            stream_id: self.id,
             name: self.name.clone(),
             fitness,
             updates_applied,
@@ -426,525 +474,355 @@ impl StreamSlot {
             error: self.error.clone(),
         }
     }
+
+    /// Captures the slot for `Snapshot` and `CheckpointShard`.
+    /// Deliberately not `guard`ed: a capture failure (e.g. an engine
+    /// without snapshot support) must not be recorded as a stream error.
+    fn capture(&self) -> Result<EngineSnapshot, SnsError> {
+        let engine = self.engine.as_ref().ok_or_else(|| self.dark_error())?;
+        engine.snapshot().map(|state| EngineSnapshot {
+            stream_id: self.id,
+            spec: self.spec.clone(),
+            seed: self.seed,
+            wal_seq: self.wal_seq,
+            state,
+        })
+    }
 }
 
-/// Records a batch to the dead-letter queue and publishes the
-/// quarantine event.
-#[allow(clippy::too_many_arguments)]
-fn divert_to_dlq(
-    ops: &PoolOps,
-    s: &StreamSlot,
-    shard: usize,
-    id: u64,
+/// One batch of a coalesced group.
+struct Segment {
     ticket: u64,
     op: QuarantinedOp,
     tuples: Vec<StreamTuple>,
-    error: SnsError,
-) {
-    let count = tuples.len();
-    ops.dlq().quarantine(id, shard, ticket, op, tuples, error, s.spec.clone());
-    s.metrics.quarantined.fetch_add(1, Ordering::Relaxed);
-    if ops.bus().has_subscribers() {
-        ops.bus().publish(PoolEvent::TupleQuarantined {
-            stream_id: id,
-            shard,
-            ticket,
-            tuples: count,
-        });
-    }
 }
 
-/// Applies one tuple batch (prefill or ingest) with quarantine
-/// semantics: under [`QuarantinePolicy::Rollback`] a panicking batch is
-/// rolled back to its pre-batch captured state and quarantined, and
-/// later batches divert to the DLQ in order until the session releases
-/// the stream. Typed engine errors pass through unchanged.
-#[allow(clippy::too_many_arguments)]
-fn apply_batch(
-    ops: &PoolOps,
-    policy: QuarantinePolicy,
-    journal: Option<&Arc<dyn BatchJournal>>,
-    buffers: &BufferPool,
+/// A shard worker's fixed context: everything its commands need besides
+/// the stream slots.
+struct Worker {
     shard: usize,
-    s: &mut StreamSlot,
-    id: u64,
-    ticket: u64,
-    op: QuarantinedOp,
-    tuples: Vec<StreamTuple>,
-) {
-    if s.quarantined {
-        let err = SnsError::StreamQuarantined { stream_id: id, pending: ops.dlq().pending(id) + 1 };
-        divert_to_dlq(ops, s, shard, id, ticket, op, tuples, err.clone());
-        s.acknowledge(id, ticket, Err(err));
-        return;
-    }
-    let Some(engine) = s.engine.as_mut() else {
-        let err = s.error.clone().unwrap_or(SnsError::StreamClosed { stream_id: id });
-        buffers.put(tuples);
-        s.acknowledge(id, ticket, Err(err));
-        return;
-    };
-    let pre = match policy {
-        QuarantinePolicy::Rollback => engine.snapshot().ok(),
-        QuarantinePolicy::Disabled => None,
-    };
-    let applied = catch_unwind(AssertUnwindSafe(|| match op {
-        QuarantinedOp::Prefill => {
-            engine.prefill_all(&tuples).map(|n| BatchOutcome { accepted: n, updates: 0 })
-        }
-        QuarantinedOp::Ingest => engine.ingest_all(&tuples),
-    }));
-    match applied {
-        Ok(Ok(outcome)) => {
-            let flagged = engine.anomalies().map(|a| a.flagged);
-            s.metrics.batches.fetch_add(1, Ordering::Relaxed);
-            s.metrics.tuples.fetch_add(outcome.accepted as u64, Ordering::Relaxed);
-            s.metrics.updates.fetch_add(outcome.updates, Ordering::Relaxed);
-            if let Some(flagged) = flagged.filter(|&f| f > s.last_flagged) {
-                s.last_flagged = flagged;
-                if ops.bus().has_subscribers() {
-                    ops.bus().publish(PoolEvent::AnomalyFlagged { stream_id: id, shard, flagged });
-                }
-            }
-            s.acknowledge(id, ticket, Ok(outcome));
-            let jop = match op {
-                QuarantinedOp::Prefill => JournalOp::Prefill(&tuples),
-                QuarantinedOp::Ingest => JournalOp::Ingest(&tuples),
-            };
-            journal_op(ops, journal, s, shard, id, ticket, jop);
-            buffers.put(tuples);
-        }
-        Ok(Err(e)) => {
-            s.metrics.errors.fetch_add(1, Ordering::Relaxed);
-            s.error.get_or_insert(e.clone());
-            s.acknowledge(id, ticket, Err(e));
-            // The engine applied the batch's accepted prefix, so the
-            // batch is journaled in full: deterministic replay of the
-            // same tuples reproduces exactly that prefix (and error).
-            let jop = match op {
-                QuarantinedOp::Prefill => JournalOp::Prefill(&tuples),
-                QuarantinedOp::Ingest => JournalOp::Ingest(&tuples),
-            };
-            journal_op(ops, journal, s, shard, id, ticket, jop);
-            buffers.put(tuples);
-        }
-        Err(payload) => {
-            ops.metrics().shard(shard).panics.fetch_add(1, Ordering::Relaxed);
-            s.metrics.errors.fetch_add(1, Ordering::Relaxed);
-            let e = SnsError::EnginePanicked { stream_id: id, message: panic_message(payload) };
-            s.error.get_or_insert(e.clone());
-            match pre.and_then(|state| state.into_engine().ok()) {
-                Some(rolled_back) => {
-                    // The batch never happened as far as the model is
-                    // concerned; the stream keeps serving.
-                    s.engine = Some(rolled_back);
-                    s.quarantined = true;
-                }
-                // No pre-batch capture: the engine state is no longer
-                // trustworthy and the slot goes dark (the letter is
-                // still recorded for post-mortems).
-                None => s.engine = None,
-            }
-            divert_to_dlq(ops, s, shard, id, ticket, op, tuples, e.clone());
-            s.acknowledge(id, ticket, Err(e));
-        }
-    }
-}
-
-/// Applies a coalesced run of ingest batches ("segments") for one
-/// stream in a single engine acquisition.
-///
-/// Observable behavior is identical to driving each segment through
-/// [`apply_batch`] in submission order: every segment still runs the
-/// engine's own per-tuple `ingest_all` path, so update order — and the
-/// RNG draw order the `_RND` families depend on — is untouched and the
-/// results stay **bitwise** equal to per-batch (and to serial)
-/// execution. What the grouping amortizes is the per-batch overhead:
-/// one rollback snapshot, one anomaly probe per segment instead of a
-/// snapshot per segment, one stream-metrics flush, and one slot lookup
-/// per group.
-///
-/// Panic recovery preserves the serial contract exactly: a panic at
-/// segment `k` rolls the engine back to the group's pre-state and
-/// deterministically re-applies the `k` completed segments (engines
-/// are deterministic, so this reconstructs bitwise the state serial
-/// per-batch execution would have left), then quarantines the stream,
-/// diverts the panicking segment to the DLQ, and diverts/fails the
-/// remainder with the same per-segment errors serial execution
-/// produces.
-#[allow(clippy::too_many_arguments)]
-fn apply_ingest_group(
-    ops: &PoolOps,
-    policy: QuarantinePolicy,
-    journal: Option<&Arc<dyn BatchJournal>>,
-    buffers: &BufferPool,
-    shard: usize,
-    s: &mut StreamSlot,
-    id: u64,
-    group: &mut Vec<(u64, Vec<StreamTuple>)>,
-) {
-    if s.quarantined {
-        for (ticket, tuples) in group.drain(..) {
-            let err =
-                SnsError::StreamQuarantined { stream_id: id, pending: ops.dlq().pending(id) + 1 };
-            divert_to_dlq(ops, s, shard, id, ticket, QuarantinedOp::Ingest, tuples, err.clone());
-            s.acknowledge(id, ticket, Err(err));
-        }
-        return;
-    }
-    let Some(engine) = s.engine.as_mut() else {
-        let err = s.error.clone().unwrap_or(SnsError::StreamClosed { stream_id: id });
-        for (ticket, tuples) in group.drain(..) {
-            buffers.put(tuples);
-            s.acknowledge(id, ticket, Err(err.clone()));
-        }
-        return;
-    };
-    let pre = match policy {
-        QuarantinePolicy::Rollback => engine.snapshot().ok(),
-        QuarantinePolicy::Disabled => None,
-    };
-    // Drive every segment inside one panic guard, collecting each
-    // outcome plus the post-segment anomaly counter (read per segment
-    // so edge-triggered AnomalyFlagged events match serial execution).
-    let mut outcomes: Vec<(Result<BatchOutcome, SnsError>, Option<u64>)> =
-        Vec::with_capacity(group.len());
-    let panic_payload = {
-        let outcomes = &mut outcomes;
-        catch_unwind(AssertUnwindSafe(|| {
-            for (_, tuples) in group.iter() {
-                let r = engine.ingest_all(tuples);
-                let flagged = engine.anomalies().map(|a| a.flagged);
-                outcomes.push((r, flagged));
-            }
-        }))
-        .err()
-    };
-    let completed = outcomes.len();
-    let panic_err = panic_payload.map(|payload| {
-        ops.metrics().shard(shard).panics.fetch_add(1, Ordering::Relaxed);
-        let e = SnsError::EnginePanicked { stream_id: id, message: panic_message(payload) };
-        // Roll back to the group's pre-state and re-apply the completed
-        // prefix before its buffers are journaled and recycled below.
-        match pre.and_then(|state| state.into_engine().ok()) {
-            Some(mut rolled_back) => {
-                let replay = catch_unwind(AssertUnwindSafe(|| {
-                    for (_, tuples) in &group[..completed] {
-                        // Outcomes (including typed errors and their
-                        // accepted prefixes) are deterministic; results
-                        // were captured above and are re-produced, not
-                        // re-reported.
-                        let _ = rolled_back.ingest_all(tuples);
-                    }
-                }));
-                match replay {
-                    Ok(()) => {
-                        s.engine = Some(rolled_back);
-                        s.quarantined = true;
-                    }
-                    // A replay of batches that just succeeded cannot
-                    // panic on a deterministic engine; if it somehow
-                    // does, the state is untrustworthy — go dark.
-                    Err(_) => s.engine = None,
-                }
-            }
-            // No pre-group capture: the engine state is no longer
-            // trustworthy and the slot goes dark.
-            None => s.engine = None,
-        }
-        e
-    });
-    // Per-segment post-processing, in ticket order — acks, journal
-    // entries, and first-error recording exactly as per-batch execution
-    // produces them; the counter deltas are flushed once at the end.
-    let mut batches = 0u64;
-    let mut tuples_total = 0u64;
-    let mut updates = 0u64;
-    let mut errors = 0u64;
-    let mut segments = group.drain(..);
-    for ((outcome, flagged), (ticket, tuples)) in outcomes.into_iter().zip(&mut segments) {
-        match outcome {
-            Ok(outcome) => {
-                batches += 1;
-                tuples_total += outcome.accepted as u64;
-                updates += outcome.updates;
-                if let Some(flagged) = flagged.filter(|&f| f > s.last_flagged) {
-                    s.last_flagged = flagged;
-                    if ops.bus().has_subscribers() {
-                        ops.bus().publish(PoolEvent::AnomalyFlagged {
-                            stream_id: id,
-                            shard,
-                            flagged,
-                        });
-                    }
-                }
-                s.acknowledge(id, ticket, Ok(outcome));
-                journal_op(ops, journal, s, shard, id, ticket, JournalOp::Ingest(&tuples));
-                buffers.put(tuples);
-            }
-            Err(e) => {
-                errors += 1;
-                s.error.get_or_insert(e.clone());
-                s.acknowledge(id, ticket, Err(e));
-                // Journaled in full: the accepted prefix is what a
-                // deterministic replay of the same tuples reproduces.
-                journal_op(ops, journal, s, shard, id, ticket, JournalOp::Ingest(&tuples));
-                buffers.put(tuples);
-            }
-        }
-    }
-    if let (Some(e), Some((ticket, tuples))) = (panic_err, segments.next()) {
-        errors += 1;
-        s.error.get_or_insert(e.clone());
-        divert_to_dlq(ops, s, shard, id, ticket, QuarantinedOp::Ingest, tuples, e.clone());
-        s.acknowledge(id, ticket, Err(e));
-        for (ticket, tuples) in segments {
-            if s.quarantined {
-                let err = SnsError::StreamQuarantined {
-                    stream_id: id,
-                    pending: ops.dlq().pending(id) + 1,
-                };
-                divert_to_dlq(
-                    ops,
-                    s,
-                    shard,
-                    id,
-                    ticket,
-                    QuarantinedOp::Ingest,
-                    tuples,
-                    err.clone(),
-                );
-                s.acknowledge(id, ticket, Err(err));
-            } else {
-                // The slot went dark (no rollback capture): no divert,
-                // the recorded error is the acknowledgment — exactly
-                // the per-batch darkened-slot path.
-                let err = s.error.clone().unwrap_or(SnsError::StreamClosed { stream_id: id });
-                buffers.put(tuples);
-                s.acknowledge(id, ticket, Err(err));
-            }
-        }
-    }
-    if batches > 0 {
-        s.metrics.batches.fetch_add(batches, Ordering::Relaxed);
-        s.metrics.tuples.fetch_add(tuples_total, Ordering::Relaxed);
-        s.metrics.updates.fetch_add(updates, Ordering::Relaxed);
-    }
-    if errors > 0 {
-        s.metrics.errors.fetch_add(errors, Ordering::Relaxed);
-    }
-}
-
-/// Journals an operation that reached the engine (called **after** the
-/// ack, on the worker) and publishes the matching
-/// [`PoolEvent::BatchApplied`] event. A no-op on journal-less pools and
-/// for empty batches (they change no state and carry no sequence).
-fn journal_op(
-    ops: &PoolOps,
-    journal: Option<&Arc<dyn BatchJournal>>,
-    s: &mut StreamSlot,
-    shard: usize,
-    id: u64,
-    ticket: u64,
-    op: JournalOp<'_>,
-) {
-    let Some(journal) = journal else { return };
-    let units = op.units();
-    if units == 0 {
-        return;
-    }
-    s.wal_seq += units;
-    journal.record(JournalEntry { stream_id: id, seq: s.wal_seq, ticket, op });
-    if ops.bus().has_subscribers() {
-        ops.bus().publish(PoolEvent::BatchApplied { stream_id: id, shard, units, seq: s.wal_seq });
-    }
-}
-
-fn publish_evicted(ops: &PoolOps, id: u64, shard: usize, reason: EvictReason) {
-    if ops.bus().has_subscribers() {
-        ops.bus().publish(PoolEvent::StreamEvicted { stream_id: id, shard, reason });
-    }
-}
-
-fn worker_loop(
-    shard: usize,
-    rx: Receiver<Command>,
     ops: PoolOps,
     policy: QuarantinePolicy,
     journal: Option<Arc<dyn BatchJournal>>,
     buffers: BufferPool,
-) {
+}
+
+impl Worker {
+    fn publish(&self, event: PoolEvent) {
+        if self.ops.bus().has_subscribers() {
+            self.ops.bus().publish(event);
+        }
+    }
+
+    fn evicted(&self, id: u64, reason: EvictReason) {
+        self.publish(PoolEvent::StreamEvicted { stream_id: id, shard: self.shard, reason });
+    }
+
+    /// Installs an `Open`/`Restore` slot: acknowledges it (with its build
+    /// error, if any), replaces any previous slot of the id, and
+    /// publishes `event`.
+    fn install(
+        &self,
+        slots: &mut HashMap<u64, StreamSlot>,
+        ticket: u64,
+        slot: StreamSlot,
+        event: Option<PoolEvent>,
+    ) {
+        let id = slot.id;
+        slot.acknowledge(ticket, slot.error.clone().map_or(Ok(NOTHING), Err));
+        if slots.insert(id, slot).is_some() {
+            self.evicted(id, EvictReason::Replaced);
+        }
+        if let Some(event) = event {
+            self.publish(event);
+        }
+    }
+
+    /// Applies a coalesced group of tuple batches ("segments") for one
+    /// stream — the pool's only batch path. A lone batch is a group of
+    /// one, and a group may mix prefill and ingest segments.
+    ///
+    /// Observable behavior is identical to applying each segment alone
+    /// in submission order: segments run one after another through the
+    /// engine's own `prefill_all`/`ingest_all`, so the per-tuple update
+    /// order — and the RNG draw order the `_RND` families depend on — is
+    /// untouched and results stay **bitwise** equal to per-batch (and
+    /// serial) execution. Each segment is acknowledged and journaled as
+    /// soon as it completes. What grouping amortizes is the slot lookup,
+    /// the rollback capture, and the stream-metrics flush: one per group.
+    ///
+    /// Segments the slot cannot apply (quarantined or dark) go to
+    /// [`Worker::reject`]. A panic at segment `k` rolls the engine back to
+    /// the group's pre-state and re-applies the `k` completed segments
+    /// (engines are deterministic, so this rebuilds bitwise the state
+    /// per-batch execution leaves), quarantines the stream, and diverts
+    /// segment `k` to the DLQ; the remainder is then refused like any
+    /// batch arriving after the panic.
+    ///
+    /// Applied segments keep their buffers in `group` (a rollback may
+    /// re-apply them); the caller recycles them.
+    fn apply_group(&self, s: &mut StreamSlot, group: &mut [Segment]) {
+        fn run(
+            engine: &mut dyn StreamingCpd,
+            op: QuarantinedOp,
+            tuples: &[StreamTuple],
+        ) -> Result<BatchOutcome, SnsError> {
+            match op {
+                QuarantinedOp::Prefill => {
+                    engine.prefill_all(tuples).map(|accepted| BatchOutcome { accepted, updates: 0 })
+                }
+                QuarantinedOp::Ingest => engine.ingest_all(tuples),
+            }
+        }
+        let mut pre = match (&s.engine, self.policy) {
+            (Some(engine), QuarantinePolicy::Rollback) if !s.quarantined => engine.snapshot().ok(),
+            _ => None,
+        };
+        let (mut batches, mut accepted, mut updates, mut errors) = (0u64, 0u64, 0u64, 0u64);
+        for k in 0..group.len() {
+            let (ticket, op) = (group[k].ticket, group[k].op);
+            let Some(engine) = s.engine.as_mut().filter(|_| !s.quarantined) else {
+                self.reject(s, ticket, op, std::mem::take(&mut group[k].tuples));
+                continue;
+            };
+            // The anomaly counter is read after every segment so the
+            // edge-triggered AnomalyFlagged events match per-batch runs.
+            let applied = catch_unwind(AssertUnwindSafe(|| {
+                let outcome = run(engine.as_mut(), op, &group[k].tuples);
+                (outcome, engine.anomalies().map(|a| a.flagged))
+            }));
+            match applied {
+                Ok((outcome, flagged)) => {
+                    match &outcome {
+                        Ok(o) => {
+                            batches += 1;
+                            accepted += o.accepted as u64;
+                            updates += o.updates;
+                            if let Some(flagged) = flagged.filter(|&f| f > s.last_flagged) {
+                                s.last_flagged = flagged;
+                                self.publish(PoolEvent::AnomalyFlagged {
+                                    stream_id: s.id,
+                                    shard: self.shard,
+                                    flagged,
+                                });
+                            }
+                        }
+                        Err(e) => {
+                            errors += 1;
+                            s.error.get_or_insert(e.clone());
+                        }
+                    }
+                    s.acknowledge(ticket, outcome);
+                    // A typed error is journaled in full too: the engine
+                    // applied the accepted prefix, and deterministic
+                    // replay of the same tuples reproduces exactly that
+                    // prefix (and error).
+                    let tuples = &group[k].tuples;
+                    let jop = match op {
+                        QuarantinedOp::Prefill => JournalOp::Prefill(tuples),
+                        QuarantinedOp::Ingest => JournalOp::Ingest(tuples),
+                    };
+                    self.record(s, ticket, jop);
+                }
+                Err(payload) => {
+                    self.ops.metrics().shard(self.shard).panics.fetch_add(1, Ordering::Relaxed);
+                    errors += 1;
+                    let e = SnsError::EnginePanicked {
+                        stream_id: s.id,
+                        message: panic_message(payload),
+                    };
+                    s.error.get_or_insert(e.clone());
+                    // Roll back and re-apply the completed prefix; its
+                    // outcomes are deterministic, already reported, and
+                    // not re-reported. Without a pre-group capture, or if
+                    // the re-apply panics, the engine state is
+                    // untrustworthy and the slot goes dark.
+                    let prefix = &group[..k];
+                    let rolled_back = pre.take().and_then(|state| state.into_engine().ok());
+                    s.engine = rolled_back.and_then(|mut engine| {
+                        let replay = catch_unwind(AssertUnwindSafe(|| {
+                            for seg in prefix {
+                                let _ = run(engine.as_mut(), seg.op, &seg.tuples);
+                            }
+                        }));
+                        replay.ok().map(|()| engine)
+                    });
+                    s.quarantined = s.engine.is_some();
+                    self.divert(s, ticket, op, std::mem::take(&mut group[k].tuples), e.clone());
+                    s.acknowledge(ticket, Err(e));
+                }
+            }
+        }
+        if batches > 0 {
+            s.metrics.batches.fetch_add(batches, Ordering::Relaxed);
+            s.metrics.tuples.fetch_add(accepted, Ordering::Relaxed);
+            s.metrics.updates.fetch_add(updates, Ordering::Relaxed);
+        }
+        if errors > 0 {
+            s.metrics.errors.fetch_add(errors, Ordering::Relaxed);
+        }
+    }
+
+    /// Refuses a batch the slot cannot apply. A quarantined stream
+    /// diverts it to the dead-letter queue behind the batch that
+    /// panicked, keeping the stream's chronology for the replay; a dark
+    /// slot recycles its buffer and acknowledges with the sticky error.
+    fn reject(&self, s: &StreamSlot, ticket: u64, op: QuarantinedOp, tuples: Vec<StreamTuple>) {
+        if s.quarantined {
+            let pending = self.ops.dlq().pending(s.id) + 1;
+            let err = SnsError::StreamQuarantined { stream_id: s.id, pending };
+            self.divert(s, ticket, op, tuples, err.clone());
+            s.acknowledge(ticket, Err(err));
+        } else {
+            self.buffers.put(tuples);
+            s.acknowledge(ticket, Err(s.dark_error()));
+        }
+    }
+
+    /// Records a batch to the dead-letter queue and publishes the
+    /// quarantine event.
+    fn divert(
+        &self,
+        s: &StreamSlot,
+        ticket: u64,
+        op: QuarantinedOp,
+        tuples: Vec<StreamTuple>,
+        error: SnsError,
+    ) {
+        let count = tuples.len();
+        self.ops.dlq().quarantine(s.id, self.shard, ticket, op, tuples, error, s.spec.clone());
+        s.metrics.quarantined.fetch_add(1, Ordering::Relaxed);
+        self.publish(PoolEvent::TupleQuarantined {
+            stream_id: s.id,
+            shard: self.shard,
+            ticket,
+            tuples: count,
+        });
+    }
+
+    /// Runs a control command (warm start, clock advance). It is refused
+    /// while the stream is quarantined: a warm start would bake the
+    /// missing batches into the factors, and a clock advance would
+    /// desynchronize their replay chronology. Otherwise it is guarded,
+    /// acknowledged, and journaled once applied.
+    fn control(
+        &self,
+        s: &mut StreamSlot,
+        ticket: u64,
+        jop: JournalOp<'_>,
+        f: impl FnOnce(&mut dyn StreamingCpd) -> BatchOutcome,
+    ) {
+        let outcome = if s.quarantined {
+            Err(SnsError::StreamQuarantined {
+                stream_id: s.id,
+                pending: self.ops.dlq().pending(s.id),
+            })
+        } else {
+            s.guard(|e| Ok(f(e)))
+        };
+        if outcome.is_err() {
+            s.metrics.errors.fetch_add(1, Ordering::Relaxed);
+        }
+        let applied = outcome.is_ok();
+        s.acknowledge(ticket, outcome);
+        if applied {
+            self.record(s, ticket, jop);
+        }
+    }
+
+    /// Journals an operation that reached the engine (called **after** the
+    /// ack) and publishes the matching [`PoolEvent::BatchApplied`] event.
+    /// A no-op on journal-less pools and for empty batches (they change
+    /// no state and carry no sequence).
+    fn record(&self, s: &mut StreamSlot, ticket: u64, op: JournalOp<'_>) {
+        let Some(journal) = &self.journal else { return };
+        let units = op.units();
+        if units == 0 {
+            return;
+        }
+        s.wal_seq += units;
+        journal.record(JournalEntry { stream_id: s.id, seq: s.wal_seq, ticket, op });
+        let (shard, seq) = (self.shard, s.wal_seq);
+        self.publish(PoolEvent::BatchApplied { stream_id: s.id, shard, units, seq });
+    }
+}
+
+fn worker_loop(w: Worker, rx: Receiver<Command>) {
     let mut slots: HashMap<u64, StreamSlot> = HashMap::new();
     // Commands from a replaced session (stale token) are dropped: the
     // stale session's reply channel is already disconnected, so its
     // blocked calls observe `StreamClosed` rather than hanging.
-    fn live(slots: &mut HashMap<u64, StreamSlot>, id: u64, token: u64) -> Option<&mut StreamSlot> {
-        slots.get_mut(&id).filter(|s| s.token == token)
+    fn live(slots: &mut HashMap<u64, StreamSlot>, head: Head) -> Option<&mut StreamSlot> {
+        slots.get_mut(&head.id).filter(|s| s.token == head.token)
     }
-    // A command pulled while coalescing an ingest group that belongs to
-    // a different stream/kind; processed (already counted) next turn.
+    let shard_metrics = w.ops.metrics().shard(w.shard);
+    // A command pulled while coalescing a batch group that belongs to a
+    // different stream/kind; processed (already counted) next turn.
     let mut carry: Option<Command> = None;
-    // Reusable (ticket, tuples) scratch for coalesced ingest groups.
-    let mut group: Vec<(u64, Vec<StreamTuple>)> = Vec::new();
+    // Reusable scratch for coalesced batch groups.
+    let mut group: Vec<Segment> = Vec::new();
     loop {
         let cmd = match carry.take() {
             Some(cmd) => cmd,
             None => {
                 let Ok(cmd) = rx.recv() else { break };
-                let shard_metrics = ops.metrics().shard(shard);
                 shard_metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
                 shard_metrics.commands.fetch_add(1, Ordering::Relaxed);
                 cmd
             }
         };
         match cmd {
-            Command::Open { id, token, ticket, seed, spec, replies } => {
+            Command::Open { head, seed, spec, replies } => {
                 let effective = spec.effective_seed(seed);
-                let (engine, name, outcome) =
-                    match catch_unwind(AssertUnwindSafe(|| spec.build(seed))) {
-                        Ok(engine) => {
-                            let name = engine.name();
-                            (Some(engine), name, Ok(BatchOutcome { accepted: 0, updates: 0 }))
+                let built =
+                    catch_unwind(AssertUnwindSafe(|| spec.build(seed))).map_err(|payload| {
+                        SnsError::EngineBuildFailed {
+                            stream_id: head.id,
+                            message: panic_message(payload),
                         }
-                        Err(payload) => {
-                            let e = SnsError::EngineBuildFailed {
-                                stream_id: id,
-                                message: panic_message(payload),
-                            };
-                            (None, String::new(), Err(e))
-                        }
-                    };
-                let metrics = ops.metrics().stream(id);
-                metrics.shard.store(shard, Ordering::Relaxed);
-                let opened = engine.is_some();
-                let engine_name = name.clone();
-                let slot = StreamSlot {
-                    name,
-                    token,
-                    spec,
-                    seed: effective,
-                    engine,
-                    error: outcome.as_ref().err().cloned(),
-                    quarantined: false,
-                    last_flagged: 0,
-                    wal_seq: 0,
-                    metrics,
-                    replies,
-                };
-                slot.acknowledge(id, ticket, outcome);
-                if slots.insert(id, slot).is_some() {
-                    publish_evicted(&ops, id, shard, EvictReason::Replaced);
-                }
-                if opened && ops.bus().has_subscribers() {
-                    ops.bus().publish(PoolEvent::StreamOpened {
-                        stream_id: id,
-                        shard,
-                        engine: engine_name,
                     });
-                }
+                let slot = StreamSlot::new(&w, head, spec, effective, built, 0, replies);
+                let opened = slot.engine.as_ref().map(|_| PoolEvent::StreamOpened {
+                    stream_id: head.id,
+                    shard: w.shard,
+                    engine: slot.name.clone(),
+                });
+                w.install(&mut slots, head.ticket, slot, opened);
             }
-            Command::Restore { id, token, ticket, snapshot, replies } => {
+            Command::Restore { head, snapshot, replies } => {
                 let EngineSnapshot { spec, seed, state, wal_seq, .. } = *snapshot;
                 match state.into_engine() {
                     Ok(engine) => {
-                        let metrics = ops.metrics().stream(id);
-                        metrics.shard.store(shard, Ordering::Relaxed);
-                        let slot = StreamSlot {
-                            name: engine.name(),
-                            token,
-                            spec,
-                            seed,
-                            engine: Some(engine),
-                            error: None,
-                            quarantined: false,
-                            last_flagged: 0,
-                            wal_seq,
-                            metrics,
-                            replies,
-                        };
-                        slot.acknowledge(id, ticket, Ok(BatchOutcome { accepted: 0, updates: 0 }));
-                        if slots.insert(id, slot).is_some() {
-                            publish_evicted(&ops, id, shard, EvictReason::Replaced);
-                        }
-                        if ops.bus().has_subscribers() {
-                            ops.bus().publish(PoolEvent::StreamMigrated { stream_id: id, shard });
-                        }
+                        let slot =
+                            StreamSlot::new(&w, head, spec, seed, Ok(engine), wal_seq, replies);
+                        let migrated =
+                            PoolEvent::StreamMigrated { stream_id: head.id, shard: w.shard };
+                        w.install(&mut slots, head.ticket, slot, Some(migrated));
                     }
                     Err(e) => {
                         // An inconsistent snapshot installs nothing; the
                         // caller sees the typed error on the open ack.
-                        let _ =
-                            replies.send(SessionReply { ticket, body: ReplyBody::Receipt(Err(e)) });
+                        let body = ReplyBody::Receipt(Err(e));
+                        let _ = replies.send(SessionReply { ticket: head.ticket, body });
                     }
                 }
             }
-            Command::Prefill { id, token, ticket, tuples } => {
-                if let Some(s) = live(&mut slots, id, token) {
-                    let j = journal.as_ref();
-                    apply_batch(
-                        &ops,
-                        policy,
-                        j,
-                        &buffers,
-                        shard,
-                        s,
-                        id,
-                        ticket,
-                        QuarantinedOp::Prefill,
-                        tuples,
-                    );
-                } else {
-                    buffers.put(tuples);
-                }
-            }
-            Command::WarmStart { id, token, ticket, opts } => {
-                if let Some(s) = live(&mut slots, id, token) {
-                    let outcome = if s.quarantined {
-                        // A warm start on a rolled-back model would bake
-                        // the missing quarantined batches into the
-                        // factors; replay first.
-                        Err(SnsError::StreamQuarantined {
-                            stream_id: id,
-                            pending: ops.dlq().pending(id),
-                        })
-                    } else {
-                        s.guard(id, |e| {
-                            e.warm_start(&opts);
-                            Ok(BatchOutcome { accepted: 0, updates: 0 })
-                        })
-                    };
-                    if outcome.is_err() {
-                        s.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let applied = outcome.is_ok();
-                    s.acknowledge(id, ticket, outcome);
-                    if applied {
-                        let jop = JournalOp::WarmStart(&opts);
-                        journal_op(&ops, journal.as_ref(), s, shard, id, ticket, jop);
-                    }
-                }
-            }
-            Command::Ingest { id, token, ticket, tuples } => {
-                // Coalesce: drain every already-queued consecutive
-                // ingest for the same session in this one channel
-                // acquisition run and drive them as a single group —
-                // one slot lookup, one rollback snapshot, one metrics
-                // flush. The first command for a different stream (or
-                // of a different kind) is carried into the next loop
-                // turn, preserving global submission order. Per-tuple
-                // update order inside the engine is untouched, so
-                // results stay bitwise identical to per-batch
-                // execution (see `apply_ingest_group`).
-                group.clear();
-                group.push((ticket, tuples));
+            Command::Batch { head, op, tuples } => {
+                // Coalesce: drain every already-queued consecutive batch
+                // of the same session in this one channel acquisition
+                // run and apply them as a single group. The first command
+                // for a different stream (or of a different kind) is
+                // carried into the next loop turn, preserving global
+                // submission order.
+                group.push(Segment { ticket: head.ticket, op, tuples });
                 let mut drained = 0u64;
                 while carry.is_none() {
                     match rx.try_recv() {
-                        Ok(Command::Ingest { id: i2, token: t2, ticket: k2, tuples: u2 })
-                            if i2 == id && t2 == token =>
+                        Ok(Command::Batch { head: next, op, tuples })
+                            if next.id == head.id && next.token == head.token =>
                         {
                             drained += 1;
-                            group.push((k2, u2));
+                            group.push(Segment { ticket: next.ticket, op, tuples });
                         }
                         Ok(other) => {
                             drained += 1;
@@ -954,119 +832,73 @@ fn worker_loop(
                     }
                 }
                 if drained > 0 {
-                    let shard_metrics = ops.metrics().shard(shard);
                     shard_metrics.queue_depth.fetch_sub(drained as i64, Ordering::Relaxed);
                     shard_metrics.commands.fetch_add(drained, Ordering::Relaxed);
                 }
-                ops.metrics().shard(shard).ingest_groups.fetch_add(1, Ordering::Relaxed);
-                if let Some(s) = live(&mut slots, id, token) {
-                    let j = journal.as_ref();
-                    apply_ingest_group(&ops, policy, j, &buffers, shard, s, id, &mut group);
-                } else {
-                    // Stale session: drop the batches, recycle buffers.
-                    for (_, buf) in group.drain(..) {
-                        buffers.put(buf);
-                    }
+                shard_metrics.ingest_groups.fetch_add(1, Ordering::Relaxed);
+                if let Some(s) = live(&mut slots, head) {
+                    w.apply_group(s, &mut group);
+                }
+                // Recycle every buffer the group still owns; a stale
+                // session's batches are simply dropped here.
+                for seg in group.drain(..) {
+                    w.buffers.put(seg.tuples);
                 }
             }
-            Command::AdvanceTo { id, token, ticket, t } => {
-                if let Some(s) = live(&mut slots, id, token) {
-                    let outcome = if s.quarantined {
-                        // Advancing the clock past quarantined batches
-                        // would desynchronize their replay chronology.
-                        Err(SnsError::StreamQuarantined {
-                            stream_id: id,
-                            pending: ops.dlq().pending(id),
-                        })
+            Command::WarmStart { head, opts } => {
+                if let Some(s) = live(&mut slots, head) {
+                    w.control(s, head.ticket, JournalOp::WarmStart(&opts), |e| {
+                        e.warm_start(&opts);
+                        NOTHING
+                    });
+                }
+            }
+            Command::AdvanceTo { head, t } => {
+                if let Some(s) = live(&mut slots, head) {
+                    w.control(s, head.ticket, JournalOp::AdvanceTo(t), |e| BatchOutcome {
+                        accepted: 0,
+                        updates: e.advance_to(t) as u64,
+                    });
+                }
+            }
+            Command::Release(head) => {
+                if let Some(s) = live(&mut slots, head) {
+                    let outcome = if s.engine.is_some() {
+                        s.quarantined = false;
+                        s.error = None;
+                        Ok(NOTHING)
                     } else {
-                        s.guard(id, |e| {
-                            Ok(BatchOutcome { accepted: 0, updates: e.advance_to(t) as u64 })
-                        })
+                        Err(s.dark_error())
                     };
-                    if outcome.is_err() {
-                        s.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let applied = outcome.is_ok();
-                    s.acknowledge(id, ticket, outcome);
-                    if applied {
-                        journal_op(
-                            &ops,
-                            journal.as_ref(),
-                            s,
-                            shard,
-                            id,
-                            ticket,
-                            JournalOp::AdvanceTo(t),
-                        );
-                    }
+                    s.acknowledge(head.ticket, outcome);
                 }
             }
-            Command::Release { id, token, ticket } => {
-                if let Some(s) = live(&mut slots, id, token) {
-                    s.quarantined = false;
-                    s.error = None;
-                    s.acknowledge(id, ticket, Ok(BatchOutcome { accepted: 0, updates: 0 }));
+            Command::Report(head) => {
+                if let Some(s) = live(&mut slots, head) {
+                    let report = Box::new(s.report());
+                    s.reply(head.ticket, ReplyBody::Report(report));
                 }
             }
-            Command::Report { id, token, ticket } => {
-                if let Some(s) = live(&mut slots, id, token) {
-                    let report = s.report(id);
-                    let _ = s
-                        .replies
-                        .send(SessionReply { ticket, body: ReplyBody::Report(Box::new(report)) });
+            Command::Snapshot(head) => {
+                if let Some(s) = live(&mut slots, head) {
+                    s.reply(head.ticket, ReplyBody::Snapshot(Box::new(s.capture())));
                 }
             }
-            Command::Snapshot { id, token, ticket } => {
-                if let Some(s) = live(&mut slots, id, token) {
-                    // Deliberately not `guard`ed: a snapshot failure (e.g.
-                    // an engine without capture support) must not be
-                    // recorded as a stream error.
-                    let result = match (&s.engine, &s.error) {
-                        (Some(engine), _) => engine.snapshot().map(|state| EngineSnapshot {
-                            stream_id: id,
-                            spec: s.spec.clone(),
-                            seed: s.seed,
-                            wal_seq: s.wal_seq,
-                            state,
-                        }),
-                        (None, Some(err)) => Err(err.clone()),
-                        (None, None) => Err(SnsError::StreamClosed { stream_id: id }),
-                    };
-                    let _ = s
-                        .replies
-                        .send(SessionReply { ticket, body: ReplyBody::Snapshot(Box::new(result)) });
-                }
-            }
-            Command::Close { id, token } => {
-                if slots.get(&id).is_some_and(|s| s.token == token) {
-                    slots.remove(&id);
-                    publish_evicted(&ops, id, shard, EvictReason::Closed);
+            Command::Close(head) => {
+                if live(&mut slots, head).is_some() {
+                    slots.remove(&head.id);
+                    w.evicted(head.id, EvictReason::Closed);
                 }
             }
             Command::CheckpointShard { replies } => {
-                let mut out: Vec<(u64, Result<EngineSnapshot, SnsError>)> = slots
-                    .iter()
-                    .map(|(&id, s)| {
-                        let result = match (&s.engine, &s.error) {
-                            (Some(engine), _) => engine.snapshot().map(|state| EngineSnapshot {
-                                stream_id: id,
-                                spec: s.spec.clone(),
-                                seed: s.seed,
-                                wal_seq: s.wal_seq,
-                                state,
-                            }),
-                            (None, Some(err)) => Err(err.clone()),
-                            (None, None) => Err(SnsError::StreamClosed { stream_id: id }),
-                        };
-                        (id, result)
-                    })
-                    .collect();
+                let mut out: CheckpointResults =
+                    slots.iter().map(|(&id, s)| (id, s.capture())).collect();
                 out.sort_by_key(|&(id, _)| id);
                 let _ = replies.send(out);
             }
             Command::Evict { id } => {
                 if slots.remove(&id).is_some() {
-                    publish_evicted(&ops, id, shard, EvictReason::Evicted);
+                    w.evicted(id, EvictReason::Evicted);
                 }
             }
             Command::Shutdown => break,
@@ -1107,14 +939,17 @@ impl EnginePool {
         let mut buffer_pools = Vec::with_capacity(shards);
         for i in 0..shards {
             let (tx, rx) = sync_channel::<Command>(queue_depth);
-            let worker_ops = ops.clone();
-            let policy = cfg.quarantine;
-            let journal = cfg.journal.clone();
             let buffers = BufferPool::new();
-            let worker_buffers = buffers.clone();
+            let worker = Worker {
+                shard: i,
+                ops: ops.clone(),
+                policy: cfg.quarantine,
+                journal: cfg.journal.clone(),
+                buffers: buffers.clone(),
+            };
             let handle = std::thread::Builder::new()
                 .name(format!("sns-pool-{i}"))
-                .spawn(move || worker_loop(i, rx, worker_ops, policy, journal, worker_buffers))
+                .spawn(move || worker_loop(worker, rx))
                 .expect("spawn engine pool worker");
             senders.push(tx);
             workers.push(handle);
@@ -1168,10 +1003,8 @@ impl EnginePool {
     pub fn open(&self, stream_id: u64, spec: EngineSpec) -> Result<StreamSession, SnsError> {
         let shard = self.shard_of(stream_id);
         let seed = stream_seed(self.base_seed, stream_id);
-        self.start_session(stream_id, shard, |token, replies| Command::Open {
-            id: stream_id,
-            token,
-            ticket: 0,
+        self.start_session(stream_id, shard, |head, replies| Command::Open {
+            head,
             seed,
             spec,
             replies,
@@ -1201,10 +1034,8 @@ impl EnginePool {
         // the validation; restores are control-plane rare.
         snapshot.state.clone().into_engine()?;
         let stream_id = snapshot.stream_id;
-        self.start_session(stream_id, shard, |token, replies| Command::Restore {
-            id: stream_id,
-            token,
-            ticket: 0,
+        self.start_session(stream_id, shard, |head, replies| Command::Restore {
+            head,
             snapshot: Box::new(snapshot),
             replies,
         })
@@ -1214,7 +1045,7 @@ impl EnginePool {
         &self,
         stream_id: u64,
         shard: usize,
-        make: impl FnOnce(u64, Sender<SessionReply>) -> Command,
+        make: impl FnOnce(Head, Sender<SessionReply>) -> Command,
     ) -> Result<StreamSession, SnsError> {
         // A stream id lives on at most one shard. The ownership map knows
         // which shard that is (a previous `restore` may have moved the id
@@ -1244,7 +1075,8 @@ impl EnginePool {
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
         let (reply_tx, reply_rx) = channel();
         let tx = self.senders[shard].clone();
-        tx.send(make(token, reply_tx)).map_err(|_| SnsError::StreamClosed { stream_id })?;
+        let head = Head { id: stream_id, token, ticket: 0 };
+        tx.send(make(head, reply_tx)).map_err(|_| SnsError::StreamClosed { stream_id })?;
         self.track_send(shard);
         drop(owner);
         let metrics = self.ops.metrics().stream(stream_id);
@@ -1264,13 +1096,8 @@ impl EnginePool {
             buffers: self.buffer_pools[shard].clone(),
             pending_at: VecDeque::new(),
         };
-        match session.wait_for(0)? {
-            ReplyBody::Receipt(Ok(_)) => Ok(session),
-            ReplyBody::Receipt(Err(e)) => Err(e),
-            _ => Err(SnsError::Internal {
-                detail: "open/restore must acknowledge with a receipt".to_string(),
-            }),
-        }
+        let _ = into_receipt(session.wait_for(0)?)?;
+        Ok(session)
     }
 
     /// Checkpoints **every** live stream in the pool: each worker drains
@@ -1451,10 +1278,8 @@ impl StreamSession {
         self.unclaimed
     }
 
-    fn bump_ticket(&mut self) -> u64 {
-        let t = self.next_ticket;
-        self.next_ticket += 1;
-        t
+    fn head(&self, ticket: u64) -> Head {
+        Head { id: self.stream_id, token: self.token, ticket }
     }
 
     fn closed_err(&self) -> SnsError {
@@ -1509,28 +1334,52 @@ impl StreamSession {
         sent
     }
 
-    /// Stamps a pulled receipt with its enqueue→ack latency and records
-    /// it into the stream's histogram. Entries for already-acknowledged
-    /// (earlier) tickets are discarded along the way.
-    fn stamp_receipt(
+    /// Submits a command under the next ticket (timed, blocking for
+    /// queue space) and waits for its reply.
+    fn call(&mut self, make: impl FnOnce(Head) -> Command) -> Result<ReplyBody, SnsError> {
+        let ticket = self.next_ticket;
+        self.next_ticket += 1;
+        self.submit_timed(ticket, make(self.head(ticket)))?;
+        self.wait_for(ticket)
+    }
+
+    /// Submits one tuple batch and blocks for its receipt.
+    fn batch(
         &mut self,
-        ticket: u64,
-        r: Result<BatchReceipt, SnsError>,
+        op: QuarantinedOp,
+        tuples: &[StreamTuple],
     ) -> Result<BatchReceipt, SnsError> {
-        let mut latency = None;
+        let tuples = self.buffers.take(tuples);
+        self.call(|head| Command::Batch { head, op, tuples }).and_then(into_receipt)
+    }
+
+    /// Retires the enqueue timestamps of every ticket up to `ticket`
+    /// (replies arrive in ticket order) and returns `ticket`'s own.
+    fn enqueued_at(&mut self, ticket: u64) -> Option<Instant> {
+        let mut enqueued = None;
         while let Some(&(t, at)) = self.pending_at.front() {
             if t > ticket {
                 break;
             }
             self.pending_at.pop_front();
             if t == ticket {
-                latency = Some(at.elapsed());
+                enqueued = Some(at);
             }
         }
-        match (r, latency) {
-            (Ok(mut receipt), Some(latency)) => {
-                receipt.latency = latency;
-                self.metrics.latency.record(latency);
+        enqueued
+    }
+
+    /// Stamps a pulled receipt with its enqueue→ack latency and records
+    /// it into the stream's histogram.
+    fn stamp_receipt(
+        &mut self,
+        ticket: u64,
+        r: Result<BatchReceipt, SnsError>,
+    ) -> Result<BatchReceipt, SnsError> {
+        match (r, self.enqueued_at(ticket)) {
+            (Ok(mut receipt), Some(at)) => {
+                receipt.latency = at.elapsed();
+                self.metrics.latency.record(receipt.latency);
                 Ok(receipt)
             }
             (r, _) => r,
@@ -1544,7 +1393,10 @@ impl StreamSession {
             let reply = self.rx.recv().map_err(|_| self.closed_err())?;
             let body = match reply.body {
                 ReplyBody::Receipt(r) => ReplyBody::Receipt(self.stamp_receipt(reply.ticket, r)),
-                other => other,
+                other => {
+                    self.enqueued_at(reply.ticket);
+                    other
+                }
             };
             if reply.ticket == ticket {
                 return Ok(body);
@@ -1555,43 +1407,19 @@ impl StreamSession {
         }
     }
 
-    fn await_receipt(&mut self, ticket: u64) -> Result<BatchReceipt, SnsError> {
-        match self.wait_for(ticket)? {
-            ReplyBody::Receipt(r) => r,
-            _ => Err(SnsError::Internal {
-                detail: "batch commands must acknowledge with receipts".to_string(),
-            }),
-        }
-    }
-
     /// Ingests a batch into the window **without** factor updates
     /// (initialization phase). Blocks for the receipt; on error, tuples
     /// before the failing one stay applied (see
     /// [`StreamingCpd::prefill_all`]).
     pub fn prefill_batch(&mut self, tuples: &[StreamTuple]) -> Result<BatchReceipt, SnsError> {
-        let ticket = self.bump_ticket();
-        let cmd = Command::Prefill {
-            id: self.stream_id,
-            token: self.token,
-            ticket,
-            tuples: self.buffers.take(tuples),
-        };
-        self.submit_timed(ticket, cmd)?;
-        self.await_receipt(ticket)
+        self.batch(QuarantinedOp::Prefill, tuples)
     }
 
     /// Runs batch ALS on the stream's current window from its current
     /// factors and installs the result. Blocks until done.
     pub fn warm_start(&mut self, opts: &AlsOptions) -> Result<BatchReceipt, SnsError> {
-        let ticket = self.bump_ticket();
-        let cmd = Command::WarmStart {
-            id: self.stream_id,
-            token: self.token,
-            ticket,
-            opts: opts.clone(),
-        };
-        self.submit_timed(ticket, cmd)?;
-        self.await_receipt(ticket)
+        let opts = opts.clone();
+        self.call(|head| Command::WarmStart { head, opts }).and_then(into_receipt)
     }
 
     /// Ingests a batch of live tuples, blocking for its
@@ -1599,15 +1427,7 @@ impl StreamSession {
     /// saturated). On error the receipt is a typed [`SnsError`] carrying
     /// the accepted prefix (see [`StreamingCpd::ingest_all`]).
     pub fn ingest_batch(&mut self, tuples: &[StreamTuple]) -> Result<BatchReceipt, SnsError> {
-        let ticket = self.bump_ticket();
-        let cmd = Command::Ingest {
-            id: self.stream_id,
-            token: self.token,
-            ticket,
-            tuples: self.buffers.take(tuples),
-        };
-        self.submit_timed(ticket, cmd)?;
-        self.await_receipt(ticket)
+        self.batch(QuarantinedOp::Ingest, tuples)
     }
 
     /// Submits a batch without blocking. Returns its ticket on success;
@@ -1617,12 +1437,8 @@ impl StreamSession {
     /// [`StreamSession::recv_receipt`] / [`StreamSession::try_recv_receipt`].
     pub fn try_ingest_batch(&mut self, tuples: &[StreamTuple]) -> Result<u64, SnsError> {
         let ticket = self.next_ticket;
-        let cmd = Command::Ingest {
-            id: self.stream_id,
-            token: self.token,
-            ticket,
-            tuples: self.buffers.take(tuples),
-        };
+        let tuples = self.buffers.take(tuples);
+        let cmd = Command::Batch { head: self.head(ticket), op: QuarantinedOp::Ingest, tuples };
         match self.tx.try_send(cmd) {
             Ok(()) => {
                 self.ops.metrics().shard(self.shard).queue_depth.fetch_add(1, Ordering::Relaxed);
@@ -1634,7 +1450,7 @@ impl StreamSession {
             Err(TrySendError::Full(cmd)) => {
                 // Nothing was enqueued: recover the batch's buffer so a
                 // backpressure storm doesn't bleed allocations.
-                if let Command::Ingest { tuples, .. } = cmd {
+                if let Command::Batch { tuples, .. } = cmd {
                     self.buffers.put(tuples);
                 }
                 Err(SnsError::Backpressure {
@@ -1701,22 +1517,15 @@ impl StreamSession {
     /// Advances the stream clock without an arrival; due boundary work
     /// still fires. The receipt's `updates` counts the events processed.
     pub fn advance_to(&mut self, t: u64) -> Result<BatchReceipt, SnsError> {
-        let ticket = self.bump_ticket();
-        let cmd = Command::AdvanceTo { id: self.stream_id, token: self.token, ticket, t };
-        self.submit_timed(ticket, cmd)?;
-        self.await_receipt(ticket)
+        self.call(|head| Command::AdvanceTo { head, t }).and_then(into_receipt)
     }
 
     /// Blocks until the worker has drained every previously submitted
     /// command for this stream, then returns its model-health snapshot.
     pub fn report(&mut self) -> Result<StreamReport, SnsError> {
-        let ticket = self.bump_ticket();
-        self.submit(Command::Report { id: self.stream_id, token: self.token, ticket })?;
-        match self.wait_for(ticket)? {
+        match self.call(Command::Report)? {
             ReplyBody::Report(r) => Ok(*r),
-            _ => Err(SnsError::Internal {
-                detail: "report commands must acknowledge with reports".to_string(),
-            }),
+            _ => Err(mismatched_reply()),
         }
     }
 
@@ -1725,13 +1534,9 @@ impl StreamSession {
     /// running; pair with [`StreamSession::close`] +
     /// [`EnginePool::restore`] to move it.
     pub fn snapshot(&mut self) -> Result<EngineSnapshot, SnsError> {
-        let ticket = self.bump_ticket();
-        self.submit(Command::Snapshot { id: self.stream_id, token: self.token, ticket })?;
-        match self.wait_for(ticket)? {
+        match self.call(Command::Snapshot)? {
             ReplyBody::Snapshot(r) => *r,
-            _ => Err(SnsError::Internal {
-                detail: "snapshot commands must acknowledge with snapshots".to_string(),
-            }),
+            _ => Err(mismatched_reply()),
         }
     }
 
@@ -1763,11 +1568,7 @@ impl StreamSession {
         }
         // Lift the quarantine first; per-stream FIFO ordering makes the
         // release visible to the worker before any batch replayed below.
-        let ticket = self.bump_ticket();
-        let release = Command::Release { id: self.stream_id, token: self.token, ticket };
-        if let Err(e) =
-            self.submit_timed(ticket, release).and_then(|()| self.await_receipt(ticket).map(drop))
-        {
+        if let Err(e) = self.call(Command::Release).and_then(into_receipt) {
             self.ops.dlq().requeue_front(self.stream_id, letters);
             return Err(e);
         }
@@ -1775,11 +1576,7 @@ impl StreamSession {
         let mut first_err: Option<SnsError> = None;
         let mut i = 0usize;
         while i < letters.len() {
-            let result = match letters[i].op {
-                QuarantinedOp::Prefill => self.prefill_batch(&letters[i].tuples),
-                QuarantinedOp::Ingest => self.ingest_batch(&letters[i].tuples),
-            };
-            match result {
+            match self.batch(letters[i].op, &letters[i].tuples) {
                 Ok(_) => {
                     replayed += 1;
                     self.metrics.replayed.fetch_add(1, Ordering::Relaxed);
@@ -1816,7 +1613,7 @@ impl StreamSession {
     /// the queued commands. Blocks only for queue space.
     pub fn close(mut self) {
         self.closed = true;
-        if self.tx.send(Command::Close { id: self.stream_id, token: self.token }).is_ok() {
+        if self.tx.send(Command::Close(self.head(0))).is_ok() {
             self.ops.metrics().shard(self.shard).queue_depth.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -1837,7 +1634,7 @@ impl Drop for StreamSession {
         if !self.closed {
             // Best-effort: if the shard queue is full the slot lives
             // until the pool shuts down. `close(self)` is reliable.
-            if self.tx.try_send(Command::Close { id: self.stream_id, token: self.token }).is_ok() {
+            if self.tx.try_send(Command::Close(self.head(0))).is_ok() {
                 self.ops.metrics().shard(self.shard).queue_depth.fetch_add(1, Ordering::Relaxed);
             }
         }

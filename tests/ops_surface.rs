@@ -9,10 +9,12 @@ use slicenstitch::data::{generate, GeneratorConfig};
 use slicenstitch::ops::{BusItem, QuarantinedOp};
 use slicenstitch::runtime::pool::stream_seed;
 use slicenstitch::runtime::{
-    ChaosConfig, EnginePool, EngineSnapshot, EngineSpec, PoolConfig, PoolEvent, QuarantinePolicy,
-    SnsError, POISON_VALUE,
+    BatchJournal, ChaosConfig, EnginePool, EngineSnapshot, EngineSpec, JournalEntry, PoolConfig,
+    PoolEvent, QuarantinePolicy, SnsError, POISON_VALUE,
 };
 use slicenstitch::stream::StreamTuple;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const DIMS: [usize; 2] = [4, 3];
@@ -225,8 +227,11 @@ fn disabled_policy_goes_dark_but_records_the_letter() {
     assert_eq!(pool.ops().dlq().pending(7), 1, "the letter is still recorded");
     // Replay cannot resurrect a dark slot; the letter is requeued.
     let res = session.replay_quarantined(|_| {});
-    assert!(res.is_err());
+    assert!(matches!(res, Err(SnsError::EnginePanicked { stream_id: 7, .. })), "{res:?}");
     assert_eq!(pool.ops().dlq().pending(7), 1, "failed replay requeues the letter");
+    // The refused release keeps the sticky error: the stream still reads dead.
+    let error = session.report().unwrap().error;
+    assert!(matches!(error, Some(SnsError::EnginePanicked { stream_id: 7, .. })), "{error:?}");
     drop(session);
     pool.join();
 }
@@ -284,4 +289,179 @@ fn backpressure_carries_context_and_publishes_onset_relief() {
     }
     assert!(onsets > 0 && reliefs > 0, "onset/relief must reach the bus");
     assert!(p99 > 0.0, "slow engine latency must show in the histogram");
+}
+
+/// A journal that remembers `(seq, ticket, kind)` per record of one stream.
+struct RecordingJournal {
+    stream_id: u64,
+    records: Mutex<Vec<(u64, u64, &'static str)>>,
+}
+
+impl BatchJournal for RecordingJournal {
+    fn record(&self, entry: JournalEntry<'_>) {
+        if entry.stream_id == self.stream_id {
+            self.records.lock().unwrap().push((entry.seq, entry.ticket, entry.op.kind()));
+        }
+    }
+}
+
+/// Everything observable about one run of [`group_panic_run`].
+#[derive(Debug, PartialEq)]
+struct GroupRun {
+    receipts: Vec<Result<(u64, usize, u64), SnsError>>,
+    letters: Vec<(u64, QuarantinedOp, SnsError)>,
+    journal: Vec<(u64, u64, &'static str)>,
+    replay: Result<usize, SnsError>,
+    snapshot: Result<Vec<u8>, SnsError>,
+}
+
+/// Feeds 17 live batches, the third poisoned, to a chaos stream on a
+/// one-shard pool whose worker a slow co-tenant keeps busy. Pipelined,
+/// the batches queue up behind the co-tenant and the worker applies them
+/// as one coalesced group; blocking, each batch is a group of one.
+/// Returns the run's observables and the number of batch groups the
+/// stream's batches formed.
+fn group_panic_run(policy: QuarantinePolicy, pipelined: bool) -> (GroupRun, u64) {
+    const ID: u64 = 11;
+    let journal = Arc::new(RecordingJournal { stream_id: ID, records: Mutex::new(Vec::new()) });
+    let pool = EnginePool::new(PoolConfig {
+        shards: 1,
+        base_seed: BASE_SEED,
+        queue_depth: 64,
+        quarantine: policy,
+        journal: Some(journal.clone()),
+        ..Default::default()
+    });
+    let mut session = pool.open(ID, sns_spec().with_chaos(ChaosConfig::default())).unwrap();
+    let mut tr = trace(ID, 400);
+    let c = cut(&tr);
+    tr[c + 2 * 20 + 5].value = POISON_VALUE;
+    for chunk in tr[..c].chunks(20) {
+        let _ = session.prefill_batch(chunk).unwrap();
+    }
+    let _ = session.warm_start(&als()).unwrap();
+    let batches: Vec<&[StreamTuple]> = tr[c..].chunks(20).take(17).collect();
+    assert_eq!(batches.len(), 17);
+
+    let slow = sns_spec().with_chaos(ChaosConfig { delay_micros: 5_000, ..Default::default() });
+    let mut busy = pool.open(12, slow).unwrap();
+    let groups = || pool.ops().metrics().shard(0).ingest_groups.load(Ordering::Relaxed);
+    let before = groups();
+    let _ = busy.try_ingest_batch(&trace(12, 400)[..40]).unwrap();
+    let receipts: Vec<_> = if pipelined {
+        for batch in &batches {
+            let _ = session.try_ingest_batch(batch).unwrap();
+        }
+        std::iter::from_fn(|| session.recv_receipt()).collect()
+    } else {
+        batches.iter().map(|batch| session.ingest_batch(batch)).collect()
+    };
+    assert!(busy.recv_receipt().unwrap().is_ok());
+    // One of the groups is the co-tenant's.
+    let stream_groups = groups() - before - 1;
+
+    let mut letters = Vec::new();
+    let replay = session.replay_quarantined(|letter| {
+        letters.push((letter.ticket, letter.op, letter.error.clone()));
+        for t in &mut letter.tuples {
+            if t.value.to_bits() == POISON_VALUE.to_bits() {
+                t.value = 1.0;
+            }
+        }
+    });
+    let snapshot = session.snapshot().map(|s| slicenstitch::codec::to_bytes(&s));
+    let journal = journal.records.lock().unwrap().clone();
+    let receipts =
+        receipts.into_iter().map(|r| r.map(|r| (r.ticket, r.accepted, r.updates))).collect();
+    drop((session, busy));
+    pool.join();
+    (GroupRun { receipts, letters, journal, replay, snapshot }, stream_groups)
+}
+
+/// A panic in the middle of a coalesced group (rollback to the group's
+/// pre-state, re-apply of the completed prefix, quarantine or darkening,
+/// refusal of the remainder) is indistinguishable from per-batch
+/// execution: same receipts, letters, journal records, and final bytes.
+#[test]
+fn panic_mid_coalesced_group_matches_per_batch_execution() {
+    for policy in [QuarantinePolicy::Rollback, QuarantinePolicy::Disabled] {
+        let (grouped, grouped_count) = group_panic_run(policy, true);
+        let (serial, serial_count) = group_panic_run(policy, false);
+        assert_eq!(grouped_count, 1, "{policy:?}: the 17 pipelined batches must coalesce");
+        assert_eq!(serial_count, 17, "{policy:?}: blocking batches are groups of one");
+        assert_eq!(grouped, serial, "{policy:?}");
+
+        let errors: Vec<_> = grouped.receipts.iter().map(|r| r.as_ref().err()).collect();
+        assert!(errors[..2].iter().all(Option::is_none), "{policy:?}: prefix applies");
+        assert!(matches!(errors[2], Some(SnsError::EnginePanicked { .. })), "{policy:?}");
+        assert!(errors[3..].iter().all(Option::is_some), "{policy:?}: remainder refused");
+        match policy {
+            QuarantinePolicy::Rollback => {
+                assert_eq!(grouped.letters.len(), 15, "poison batch + 14 diverted behind it");
+                assert_eq!(grouped.replay, Ok(15));
+                assert!(grouped.snapshot.is_ok());
+            }
+            QuarantinePolicy::Disabled => {
+                assert_eq!(grouped.letters.len(), 1, "only the poison batch is recorded");
+                assert!(matches!(grouped.replay, Err(SnsError::EnginePanicked { .. })));
+                assert!(matches!(grouped.snapshot, Err(SnsError::EnginePanicked { .. })));
+            }
+        }
+    }
+}
+
+/// A poisoned *prefill* batch quarantines like a live one: its letter is
+/// a prefill letter, the warm start is refused until replay, and the
+/// repaired stream ends byte-identical to a serial run over the
+/// repaired trace.
+#[test]
+fn poisoned_prefill_batch_quarantines_and_replays_bitwise() {
+    let pool = EnginePool::new(PoolConfig {
+        shards: 2,
+        base_seed: BASE_SEED,
+        queue_depth: 16,
+        ..Default::default()
+    });
+    let spec = sns_spec().with_chaos(ChaosConfig::default());
+    let mut session = pool.open(5, spec.clone()).unwrap();
+    let mut tr = trace(5, 400);
+    let c = cut(&tr);
+    assert!(c > 16, "the prefill needs at least three batches");
+    tr[10].value = POISON_VALUE;
+    let results: Vec<_> = tr[..c].chunks(8).map(|chunk| session.prefill_batch(chunk)).collect();
+    assert!(results[0].is_ok());
+    assert!(matches!(results[1], Err(SnsError::EnginePanicked { stream_id: 5, .. })));
+    assert!(results[2..].iter().all(|r| matches!(r, Err(SnsError::StreamQuarantined { .. }))));
+    assert!(matches!(session.warm_start(&als()), Err(SnsError::StreamQuarantined { .. })));
+
+    let replayed = session
+        .replay_quarantined(|letter| {
+            assert_eq!(letter.op, QuarantinedOp::Prefill);
+            for t in &mut letter.tuples {
+                if t.value.to_bits() == POISON_VALUE.to_bits() {
+                    t.value = 1.0;
+                }
+            }
+        })
+        .unwrap();
+    assert_eq!(replayed, results.len() - 1);
+    let _ = session.warm_start(&als()).unwrap();
+    for chunk in tr[c..].chunks(20) {
+        let _ = session.ingest_batch(chunk).unwrap();
+    }
+
+    tr[10].value = 1.0;
+    let mut engine = spec.build(stream_seed(BASE_SEED, 5));
+    engine.prefill_all(&tr[..c]).unwrap();
+    engine.warm_start(&als());
+    engine.ingest_all(&tr[c..]).unwrap();
+    let serial = slicenstitch::codec::to_bytes(&EngineSnapshot {
+        stream_id: 5,
+        spec: spec.clone(),
+        seed: spec.effective_seed(stream_seed(BASE_SEED, 5)),
+        wal_seq: 0,
+        state: engine.snapshot().unwrap(),
+    });
+    let pooled = slicenstitch::codec::to_bytes(&session.snapshot().unwrap());
+    assert_eq!(pooled, serial, "repaired prefill diverged from its serial reference");
 }

@@ -41,8 +41,8 @@
 //! DELTA ("delta", decodable only next to its base via
 //! [`from_bytes_with_base`]). Version 1 — identical except that META
 //! has no `wal_seq` and DELTA does not exist — is still read by
-//! [`from_bytes`] (`wal_seq` decodes as 0) and written by
-//! [`to_bytes_v1`] for fixtures and downgrade paths. The normative
+//! [`from_bytes`] (`wal_seq` decodes as 0) but no longer written;
+//! re-encoding a decoded v1 snapshot upgrades it to v2. The normative
 //! byte-level specification lives in `docs/DURABILITY.md`.
 //!
 //! Section lengths let a reader skip or validate sections without
@@ -117,41 +117,6 @@ pub fn to_bytes(snapshot: &EngineSnapshot) -> Vec<u8> {
     let checksum = fnv1a(w.as_slice());
     w.u64(checksum);
     w.into_bytes()
-}
-
-/// Serializes a snapshot to the **legacy v1** format (no `wal_seq`, no
-/// delta support) — for fixtures and for handing state to a v1-only
-/// reader.
-///
-/// # Errors
-/// [`SnsError::Codec`] (`Invalid`) if `snapshot.wal_seq != 0`: v1 has
-/// no field for it, and silently dropping a live WAL cursor would break
-/// the recovery contract.
-pub fn to_bytes_v1(snapshot: &EngineSnapshot) -> Result<Vec<u8>, SnsError> {
-    if snapshot.wal_seq != 0 {
-        return Err(SnsError::Codec {
-            fault: CodecFault::Invalid,
-            offset: 0,
-            detail: format!(
-                "wal_seq {} is not representable in schema v1; checkpoint+WAL streams \
-                 must stay on v2",
-                snapshot.wal_seq
-            ),
-        });
-    }
-    let mut w = Writer::new();
-    w.bytes(&MAGIC);
-    w.u16(1);
-    w.u8(3);
-    put_section(&mut w, SECTION_META, |w| {
-        w.u64(snapshot.stream_id);
-        w.u64(snapshot.seed);
-    });
-    put_section(&mut w, SECTION_SPEC, |w| wire::put_spec(w, &snapshot.spec));
-    put_section(&mut w, SECTION_STATE, |w| wire::put_engine_state(w, &snapshot.state));
-    let checksum = fnv1a(w.as_slice());
-    w.u64(checksum);
-    Ok(w.into_bytes())
 }
 
 /// Serializes a snapshot as a **delta** against `base_bytes` (a
@@ -439,23 +404,11 @@ mod tests {
     }
 
     #[test]
-    fn wal_seq_survives_the_round_trip_and_v1_reads_as_zero() {
+    fn wal_seq_survives_the_round_trip() {
         let mut snap = snapshot();
         snap.wal_seq = 1234;
         let decoded = from_bytes(&to_bytes(&snap)).unwrap();
         assert_eq!(decoded.wal_seq, 1234);
-
-        let v1 = to_bytes_v1(&snapshot()).unwrap();
-        let decoded = from_bytes(&v1).unwrap();
-        assert_eq!(decoded.wal_seq, 0);
-        assert_eq!(to_bytes_v1(&decoded).unwrap(), v1, "v1 re-encode must be canonical");
-        // Upgrading a v1 snapshot is just re-encoding it.
-        assert_eq!(to_bytes(&decoded), to_bytes(&snapshot()));
-
-        assert!(matches!(
-            to_bytes_v1(&snap),
-            Err(SnsError::Codec { fault: CodecFault::Invalid, .. })
-        ));
     }
 
     #[test]

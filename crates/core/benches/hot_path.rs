@@ -6,8 +6,7 @@
 //!   the number the paper's microsecond claim lives or dies on;
 //! - `ingest_batch`: the engine's `ingest_all` batch path (window +
 //!   updater + bookkeeping), tuples/second shape;
-//! - `mttkrp`: full (one mode), full (all modes via prefix/suffix), and
-//!   per-row kernels;
+//! - `mttkrp`: full (one mode) and per-row kernels;
 //! - `gram_solve`: the `x = u·H†` row solve — fresh factorization per
 //!   solve versus the version-keyed cached factorization;
 //! - `pool_round_trip`: the same batch ingest behind a one-shard
@@ -26,9 +25,7 @@ use sns_core::engine::SnsEngine;
 use sns_core::grams::compute_grams;
 use sns_core::kruskal::KruskalTensor;
 use sns_core::mirror::FactorMirror;
-use sns_core::mttkrp::{
-    mttkrp_full, mttkrp_full_all, mttkrp_row, mttkrp_row_interleaved, mttkrp_row_par,
-};
+use sns_core::mttkrp::{mttkrp_full, mttkrp_row, mttkrp_row_interleaved};
 use sns_core::update::{ContinuousUpdater, Updater};
 use sns_core::workspace::GramSolves;
 use sns_linalg::lstsq::solve_row_sym;
@@ -156,9 +153,6 @@ fn bench_mttkrp(c: &mut Criterion) {
     group.bench_function("full_mode0_10k_nnz", |b| {
         b.iter(|| std::hint::black_box(mttkrp_full(&x, &k.factors, 0)))
     });
-    group.bench_function("full_all_modes_10k_nnz", |b| {
-        b.iter(|| std::hint::black_box(mttkrp_full_all(&x, &k.factors)))
-    });
     group.bench_function("row_fiber", |b| {
         let mut out = vec![0.0; RANK];
         let mut scratch = vec![0.0; RANK];
@@ -195,22 +189,6 @@ fn bench_mttkrp(c: &mut Criterion) {
             std::hint::black_box(out[0])
         })
     });
-    // High-rank split so the parallel path has real work per worker; the
-    // serial same-rank entry isolates the thread-spawn overhead.
-    let big = KruskalTensor::random(&mut rng, &dims, 128, 1.0);
-    let big_mirror = FactorMirror::new(&big.factors, Precision::F64);
-    for threads in [1usize, 2, 4] {
-        group.bench_function(BenchmarkId::new("row_fiber_par_r128", threads), |b| {
-            let mut out = vec![0.0; 128];
-            let mut i = 0u32;
-            b.iter(|| {
-                i = (i + 1) % DIMS[0] as u32;
-                mttkrp_row_par(&x, &big_mirror, 0, i, &mut out, threads)
-                    .expect("rank-sized buffers");
-                std::hint::black_box(out[0])
-            })
-        });
-    }
     group.finish();
 }
 

@@ -29,11 +29,18 @@ pub fn fitness(x: &SparseTensor, k: &KruskalTensor) -> f64 {
 /// values otherwise (an empty window with a non-zero reconstruction gives
 /// fitness −∞ in theory; we clamp the denominator instead and report the
 /// conventional 0-denominator result of 1.0 only for exact matches).
+/// Returns NaN when the residual is not finite (a NaN or infinite factor
+/// entry), so a diverged model never reports a fit.
 pub fn fitness_with_grams(x: &SparseTensor, k: &KruskalTensor, grams: &[Mat]) -> f64 {
     let x_sq = x.norm_sq();
     let inner = inner_with_kruskal(x, k);
     let k_sq = k.norm_sq_from_grams(grams);
-    let resid_sq = (x_sq - 2.0 * inner + k_sq).max(0.0);
+    let resid_sq = x_sq - 2.0 * inner + k_sq;
+    if !resid_sq.is_finite() {
+        return f64::NAN;
+    }
+    // Clamp the cancellation error of the expansion, never a NaN.
+    let resid_sq = resid_sq.max(0.0);
     if x_sq == 0.0 {
         return if resid_sq == 0.0 { 1.0 } else { f64::NEG_INFINITY };
     }
@@ -74,6 +81,16 @@ mod tests {
         let k = KruskalTensor::zeros(&[2, 2], 2);
         // ‖X − 0‖/‖X‖ = 1 → fitness 0.
         assert!((fitness(&x, &k)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn non_finite_model_has_nan_fitness() {
+        let mut k = KruskalTensor::zeros(&[2, 2], 1);
+        k.factors[0][(0, 0)] = 1.0;
+        k.factors[1][(0, 0)] = 1.0;
+        let x = k.reconstruct_dense().to_sparse();
+        k.factors[0][(1, 0)] = f64::NAN;
+        assert!(fitness(&x, &k).is_nan());
     }
 
     #[test]

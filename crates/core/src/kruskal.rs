@@ -94,7 +94,13 @@ impl KruskalTensor {
                 acc += prod;
             }
         }
-        acc.max(0.0)
+        // Clamp cancellation below zero, but let a NaN through: `max`
+        // would turn a non-finite model into a perfect-looking zero.
+        if acc < 0.0 {
+            0.0
+        } else {
+            acc
+        }
     }
 
     /// Normalizes every factor's columns to unit ℓ₂ norm, folding the

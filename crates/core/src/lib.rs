@@ -9,9 +9,9 @@
 //! - [`config`] — hyperparameters (`R`, `θ`, `η`, seeds),
 //! - [`kruskal`] — the factorization object `[[λ; A(1),…,A(M)]]`,
 //! - [`grams`] — incrementally maintained Gram matrices `A(m)ᵀA(m)`,
-//! - [`mttkrp`] — sparse MTTKRP kernels (full, all-modes prefix/suffix,
-//!   per-row with entry-pair blocking, interleaved-mirror and
-//!   rank-split parallel variants, fused sampled-residual),
+//! - [`mttkrp`] — sparse MTTKRP kernels (full, per-row with entry-pair
+//!   blocking over row-major or interleaved-mirror factors, fused
+//!   sampled-residual),
 //! - [`mirror`] — [`mirror::FactorMirror`]: interleaved, padded (and
 //!   optionally `f32`) factor storage the fiber kernels read,
 //! - [`workspace`] — [`workspace::KernelWorkspace`]: per-updater scratch

@@ -7,7 +7,7 @@
 //!
 //! # Kernel variants
 //!
-//! The fiber kernel exists in three layouts that are **bitwise
+//! The fiber kernel exists in two layouts that are **bitwise
 //! interchangeable** (identical per-`k` accumulation order and
 //! multiplication grouping, pinned by the proptest parity suite):
 //!
@@ -15,13 +15,9 @@
 //! - [`mttkrp_row_interleaved`] walks a padded
 //!   [`FactorMirror`] plane (contiguous,
 //!   block-aligned rows; `f32` mirrors widen to `f64` per element and
-//!   recover the f32-rounded masters exactly),
-//! - [`mttkrp_row_par`] splits the rank range over scoped worker
-//!   threads — each worker owns a contiguous `k`-range of `out` and
-//!   walks the whole fiber, so per-`k` accumulation order is identical
-//!   to serial at **any** thread count.
+//!   recover the f32-rounded masters exactly).
 //!
-//! All three accumulate fiber entries in *pairs* (two entries fused per
+//! Both accumulate fiber entries in *pairs* (two entries fused per
 //! pass over `out`, halving the accumulator traffic) over explicit
 //! width-4 register blocks with a scalar tail, so the inner loops
 //! autovectorize on stable Rust.
@@ -76,7 +72,7 @@ fn other_two(skip: usize) -> (usize, usize) {
 
 /// Element type a mirror plane stores. Widening to `f64` is exact for
 /// both widths, so accumulation is always full-precision `f64`.
-pub trait MirrorElem: Copy + Send + Sync {
+pub trait MirrorElem: Copy {
     /// Widens to `f64` (exact).
     fn widen(self) -> f64;
 }
@@ -98,7 +94,7 @@ impl MirrorElem for f32 {
 /// `out[k] += v0·(a0[k]·b0[k]) + v1·(a1[k]·b1[k])` over explicit
 /// width-4 blocks plus a scalar tail. The per-`k` expression is the
 /// single source of truth for the fused two-entry accumulation: every
-/// kernel variant (row-major, interleaved, parallel, f32) funnels
+/// kernel variant (row-major, interleaved, f32) funnels
 /// through here, which is what makes them bitwise interchangeable.
 #[inline]
 fn accum_pair<T: MirrorElem>(
@@ -157,10 +153,8 @@ fn accum_single<T: MirrorElem>(out: &mut [f64], v: f64, a: &[T], b: &[T]) {
     }
 }
 
-/// Pair-blocked fiber walk over two mirror planes, restricted to the
-/// `k`-range `[k0, k0 + out.len())` of every row — the shared core of
-/// the interleaved serial kernel (`k0 = 0`, full width) and each
-/// parallel worker (its own contiguous sub-range).
+/// Pair-blocked fiber walk over two mirror planes — the core of
+/// [`mttkrp_row_interleaved`], generic over the plane element width.
 #[allow(clippy::too_many_arguments)]
 fn fiber_accum_planes<T: MirrorElem>(
     coords: &[Coord],
@@ -170,7 +164,6 @@ fn fiber_accum_planes<T: MirrorElem>(
     ma: usize,
     mb: usize,
     stride: usize,
-    k0: usize,
     out: &mut [f64],
 ) {
     let w = out.len();
@@ -178,10 +171,10 @@ fn fiber_accum_planes<T: MirrorElem>(
     let mut i = 0;
     while i + 2 <= n {
         let (c0, c1) = (&coords[i], &coords[i + 1]);
-        let a0 = c0.get(ma) as usize * stride + k0;
-        let b0 = c0.get(mb) as usize * stride + k0;
-        let a1 = c1.get(ma) as usize * stride + k0;
-        let b1 = c1.get(mb) as usize * stride + k0;
+        let a0 = c0.get(ma) as usize * stride;
+        let b0 = c0.get(mb) as usize * stride;
+        let a1 = c1.get(ma) as usize * stride;
+        let b1 = c1.get(mb) as usize * stride;
         accum_pair(
             out,
             values[i],
@@ -195,8 +188,8 @@ fn fiber_accum_planes<T: MirrorElem>(
     }
     if i < n {
         let c = &coords[i];
-        let a = c.get(ma) as usize * stride + k0;
-        let b = c.get(mb) as usize * stride + k0;
+        let a = c.get(ma) as usize * stride;
+        let b = c.get(mb) as usize * stride;
         accum_single(out, values[i], &pa[a..a + w], &pb[b..b + w]);
     }
 }
@@ -248,77 +241,6 @@ pub fn khatri_rao_row(factors: &[Mat], coord: &Coord, skip: usize, out: &mut [f6
     }
 }
 
-/// All `M` Khatri–Rao row products of one coordinate at once:
-/// `rows[m·R + k] = Π_{n≠m} factors[n](coord_n, k)` for every mode `m`.
-///
-/// Uses prefix/suffix product caching: one backward sweep materializes
-/// the suffix products `S_m = Π_{n≥m}`, then a forward sweep maintains
-/// the running prefix `P_m = Π_{n<m}` and emits each mode's row as the
-/// single element-wise multiply `P_m ∗ S_{m+1}` — `O(M·R)` total instead
-/// of the `O(M²·R)` of `M` separate [`khatri_rao_row`] calls.
-///
-/// `scratch` is caller scratch of length `≥ (M+2)·R` (suffix products
-/// plus the running prefix); `rows` has length `M·R` (mode `m`'s row at
-/// `rows[m·R..(m+1)·R]`). Each row matches [`khatri_rao_row`] up to
-/// floating-point reassociation (≤ 1e-12 relative; the factor rows
-/// multiply in a different order).
-///
-/// # Errors
-/// [`SnsError::KernelShape`] when `scratch` or `rows` is shorter than
-/// the documented size.
-pub fn khatri_rao_rows_all(
-    factors: &[Mat],
-    coord: &Coord,
-    scratch: &mut [f64],
-    rows: &mut [f64],
-) -> Result<(), SnsError> {
-    let m = factors.len();
-    let r = factors[0].cols();
-    check_rank(factors, r, "khatri_rao_rows_all(factors)")?;
-    if scratch.len() < (m + 2) * r {
-        return Err(SnsError::KernelShape {
-            what: "khatri_rao_rows_all(scratch)",
-            expected: (m + 2) * r,
-            got: scratch.len(),
-        });
-    }
-    if rows.len() != m * r {
-        return Err(SnsError::KernelShape {
-            what: "khatri_rao_rows_all(rows)",
-            expected: m * r,
-            got: rows.len(),
-        });
-    }
-    let (suffix, prefix) = scratch.split_at_mut((m + 1) * r);
-    let prefix = &mut prefix[..r];
-    // Backward sweep: S_M = 1, S_n = row_n ∗ S_{n+1} (S_0 never read).
-    suffix[m * r..(m + 1) * r].iter_mut().for_each(|x| *x = 1.0);
-    for n in (1..m).rev() {
-        let row = factors[n].row(coord.get(n) as usize);
-        let (dst, src) = suffix[n * r..(n + 2) * r].split_at_mut(r);
-        dst.iter_mut().zip(src.iter().zip(row)).for_each(|(d, (&s, &v))| *d = s * v);
-    }
-    // Forward sweep: rows_n = P ∗ S_{n+1}, then P ∗= row_n.
-    for n in 0..m {
-        let out = &mut rows[n * r..(n + 1) * r];
-        let s = &suffix[(n + 1) * r..(n + 2) * r];
-        if n == 0 {
-            out.copy_from_slice(s); // P = 1
-        } else {
-            out.iter_mut().zip(s.iter().zip(&*prefix)).for_each(|(o, (&sv, &pv))| *o = sv * pv);
-        }
-        if n + 1 < m {
-            let row = factors[n].row(coord.get(n) as usize);
-            if n == 0 {
-                prefix.copy_from_slice(row);
-            } else {
-                prefix.iter_mut().zip(row).for_each(|(p, &v)| *p *= v);
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Full MTTKRP `U = X(m)·K(m) ∈ R^{N_m×R}` over all non-zeros of `x`.
 /// `O(|X|·M·R)`.
 pub fn mttkrp_full(x: &SparseTensor, factors: &[Mat], mode: usize) -> Mat {
@@ -331,32 +253,6 @@ pub fn mttkrp_full(x: &SparseTensor, factors: &[Mat], mode: usize) -> Mat {
         row.iter_mut().zip(&prod).for_each(|(r, &p)| *r += value * p);
     }
     u
-}
-
-/// All-modes MTTKRP in one pass: `U(m) = X(m)·K(m)` for every mode `m`,
-/// sharing each non-zero's Khatri–Rao rows via prefix/suffix caching
-/// ([`khatri_rao_rows_all`]). `O(|X|·M·R)` total versus the
-/// `O(|X|·M²·R)` of `M` separate [`mttkrp_full`] calls — the batch form
-/// for Jacobi-style (all modes from the same factors) refreshes, and the
-/// kernel the criterion suite benchmarks against the mode-at-a-time
-/// path. Gauss–Seidel sweeps ([`crate::als::als_sweep`]) cannot use it:
-/// they interleave factor updates between modes.
-pub fn mttkrp_full_all(x: &SparseTensor, factors: &[Mat]) -> Vec<Mat> {
-    let m = factors.len();
-    let rank = factors[0].cols();
-    let mut us: Vec<Mat> = (0..m).map(|n| Mat::zeros(x.shape().dim(n), rank)).collect();
-    let mut scratch = vec![0.0; (m + 2) * rank];
-    let mut rows = vec![0.0; m * rank];
-    for (coord, value) in x.iter() {
-        khatri_rao_rows_all(factors, coord, &mut scratch, &mut rows)
-            .expect("internally sized buffers");
-        for (n, u) in us.iter_mut().enumerate() {
-            let dst = u.row_mut(coord.get(n) as usize);
-            let src = &rows[n * rank..(n + 1) * rank];
-            dst.iter_mut().zip(src).for_each(|(d, &p)| *d += value * p);
-        }
-    }
-    us
 }
 
 /// Row MTTKRP over one fiber:
@@ -443,30 +339,6 @@ pub fn mttkrp_row_interleaved(
     index: u32,
     out: &mut [f64],
 ) -> Result<(), SnsError> {
-    mttkrp_row_par(x, mirror, mode, index, out, 1)
-}
-
-/// [`mttkrp_row_interleaved`] with the rank range split across `threads`
-/// scoped worker threads. Each worker owns a contiguous `k`-range of
-/// `out` and walks the whole fiber, so the per-`k` accumulation order —
-/// and therefore the result, bit for bit — is independent of the thread
-/// count. `threads ≤ 1` runs serially on the calling thread.
-///
-/// Spawning scoped threads costs microseconds, so callers gate this on
-/// rank/work thresholds ([`crate::workspace::ParConfig`]) — at the
-/// paper's default `R = 20` the dispatch never parallelizes.
-///
-/// # Errors
-/// [`SnsError::KernelShape`] when `out` does not match the mirror's
-/// rank or the tensor is not 3-mode.
-pub fn mttkrp_row_par(
-    x: &SparseTensor,
-    mirror: &FactorMirror,
-    mode: usize,
-    index: u32,
-    out: &mut [f64],
-    threads: usize,
-) -> Result<(), SnsError> {
     if out.len() != mirror.rank() {
         return Err(SnsError::KernelShape {
             what: "mttkrp_row_interleaved(out)",
@@ -488,45 +360,17 @@ pub fn mttkrp_row_par(
     }
     let (ma, mb) = other_two(mode);
     let stride = mirror.stride();
-    enum Planes<'a> {
-        F64(&'a [f64], &'a [f64]),
-        F32(&'a [f32], &'a [f32]),
-    }
-    let planes = match (mirror.f64_plane(ma), mirror.f32_plane(ma)) {
-        (Some(pa), _) => Planes::F64(pa, mirror.f64_plane(mb).expect("planes share precision")),
-        (_, Some(pa)) => Planes::F32(pa, mirror.f32_plane(mb).expect("planes share precision")),
+    match (mirror.f64_plane(ma), mirror.f32_plane(ma)) {
+        (Some(pa), _) => {
+            let pb = mirror.f64_plane(mb).expect("planes share precision");
+            fiber_accum_planes(coords, values, pa, pb, ma, mb, stride, out);
+        }
+        (_, Some(pa)) => {
+            let pb = mirror.f32_plane(mb).expect("planes share precision");
+            fiber_accum_planes(coords, values, pa, pb, ma, mb, stride, out);
+        }
         _ => unreachable!("a mirror plane is either f64 or f32"),
-    };
-    let workers = threads.max(1).min(out.len());
-    if workers == 1 {
-        match planes {
-            Planes::F64(pa, pb) => {
-                fiber_accum_planes(coords, values, pa, pb, ma, mb, stride, 0, out)
-            }
-            Planes::F32(pa, pb) => {
-                fiber_accum_planes(coords, values, pa, pb, ma, mb, stride, 0, out)
-            }
-        }
-        return Ok(());
     }
-    let chunk = out.len().div_ceil(workers);
-    std::thread::scope(|s| {
-        for (ci, piece) in out.chunks_mut(chunk).enumerate() {
-            let k0 = ci * chunk;
-            match planes {
-                Planes::F64(pa, pb) => {
-                    s.spawn(move || {
-                        fiber_accum_planes(coords, values, pa, pb, ma, mb, stride, k0, piece)
-                    });
-                }
-                Planes::F32(pa, pb) => {
-                    s.spawn(move || {
-                        fiber_accum_planes(coords, values, pa, pb, ma, mb, stride, k0, piece)
-                    });
-                }
-            }
-        }
-    });
     Ok(())
 }
 
@@ -561,9 +405,8 @@ pub fn mttkrp_row_from_entries(
 /// product with the Khatri–Rao row: the kernel computes the skip-`mode`
 /// row once and derives `x̃_J` from it with a single extra
 /// multiply-accumulate against `a(mode)_{J_mode}` — one pass over the
-/// factor rows instead of the separate `eval` + `khatri_rao_row` passes
-/// (which is the prefix/suffix-caching idea applied to the sampled hot
-/// path). Matches the unfused form to ≤ 1e-12: the model value
+/// factor rows instead of the separate `eval` + `khatri_rao_row` passes.
+/// Matches the unfused form to ≤ 1e-12: the model value
 /// multiplies factors in a different order than
 /// [`KruskalTensor::eval`].
 ///
@@ -821,32 +664,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_bitwise_any_thread_count() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let dims = [5usize, 4, 6];
-        let x = random_sparse(&mut rng, &dims, 80);
-        let f = random_factors(&mut rng, &dims, 11);
-        let mirror = FactorMirror::new(&f, Precision::F64);
-        let mut serial = vec![0.0; 11];
-        let mut par = vec![0.0; 11];
-        for threads in [2, 3, 4, 7, 11, 16] {
-            for (mode, &dim) in dims.iter().enumerate() {
-                for i in 0..dim as u32 {
-                    mttkrp_row_interleaved(&x, &mirror, mode, i, &mut serial).unwrap();
-                    mttkrp_row_par(&x, &mirror, mode, i, &mut par, threads).unwrap();
-                    for k in 0..11 {
-                        assert_eq!(
-                            serial[k].to_bits(),
-                            par[k].to_bits(),
-                            "threads {threads} mode {mode} row {i} k {k}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn kernel_shape_errors_are_typed_not_panics() {
         let mut rng = StdRng::seed_from_u64(15);
         let dims = [4usize, 3, 5];
@@ -871,12 +688,6 @@ mod tests {
         assert!(mttkrp_row_from_entries(&entries, &f, 0, &mut short, &mut ok).is_err());
         let k = KruskalTensor::random(&mut rng, &dims, 4, 1.0);
         assert!(mttkrp_row_sampled_residuals(&x, &k, 0, &[], &mut short, &mut ok).is_err());
-        let mut scratch = vec![0.0; 4]; // needs (M+2)·R = 20
-        let mut rows = vec![0.0; 12];
-        assert!(matches!(
-            khatri_rao_rows_all(&f, &Coord::new(&[0, 0, 0]), &mut scratch, &mut rows),
-            Err(SnsError::KernelShape { what: "khatri_rao_rows_all(scratch)", .. })
-        ));
     }
 
     #[test]
@@ -907,53 +718,6 @@ mod tests {
         let brute: f64 =
             Shape::new(&dims).iter_coords().map(|c| dense_x.get(&c) * dense_k.get(&c)).sum();
         assert!((inner_with_kruskal(&x, &k) - brute).abs() < 1e-9);
-    }
-
-    #[test]
-    fn prefix_suffix_rows_match_per_mode_kernel() {
-        let mut rng = StdRng::seed_from_u64(8);
-        for dims in [vec![4usize, 3, 5], vec![3, 2, 4, 3], vec![2, 5]] {
-            let m = dims.len();
-            let f = random_factors(&mut rng, &dims, 4);
-            let coord: Vec<u32> = dims.iter().map(|&d| rng.gen_range(0..d as u32)).collect();
-            let c = Coord::new(&coord);
-            let mut scratch = vec![0.0; (m + 2) * 4];
-            let mut rows = vec![0.0; m * 4];
-            khatri_rao_rows_all(&f, &c, &mut scratch, &mut rows).unwrap();
-            let mut reference = vec![0.0; 4];
-            for skip in 0..m {
-                khatri_rao_row(&f, &c, skip, &mut reference);
-                for k in 0..4 {
-                    let got = rows[skip * 4 + k];
-                    assert!(
-                        (got - reference[k]).abs() <= 1e-12 * (1.0 + reference[k].abs()),
-                        "order {m} skip {skip} k {k}: {got} vs {}",
-                        reference[k]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn mttkrp_full_all_matches_per_mode_full() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let dims = [3usize, 4, 2, 3];
-        let x = random_sparse(&mut rng, &dims, 25);
-        let f = random_factors(&mut rng, &dims, 3);
-        let all = mttkrp_full_all(&x, &f);
-        for (mode, got) in all.iter().enumerate() {
-            let one = mttkrp_full(&x, &f, mode);
-            assert_eq!(got.shape(), one.shape());
-            for i in 0..one.rows() {
-                for j in 0..one.cols() {
-                    assert!(
-                        (got[(i, j)] - one[(i, j)]).abs() <= 1e-12 * (1.0 + one[(i, j)].abs()),
-                        "mode {mode} ({i},{j})"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

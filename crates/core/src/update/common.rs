@@ -4,8 +4,8 @@ use crate::config::Precision;
 use crate::grams::{compute_grams, gram_row_update};
 use crate::kruskal::KruskalTensor;
 use crate::mirror::{round_row_f32, FactorMirror};
-use crate::mttkrp::{khatri_rao_row, mttkrp_row, mttkrp_row_interleaved, mttkrp_row_par};
-use crate::workspace::{KernelWorkspace, ParConfig};
+use crate::mttkrp::{khatri_rao_row, mttkrp_row, mttkrp_row_interleaved};
+use crate::workspace::KernelWorkspace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sns_linalg::Mat;
@@ -217,12 +217,11 @@ impl FactorState {
         true
     }
 
-    /// Row MTTKRP through the fastest applicable kernel: the parallel
-    /// rank-split kernel when [`ParConfig::engages`] (3-mode only), the
-    /// serial interleaved-mirror kernel otherwise, and the row-major
-    /// master walk for orders ≠ 3. All routes are bitwise-identical for
-    /// the same state (mirror rows recover the masters exactly at either
-    /// precision), so this dispatch is purely a bandwidth/latency choice.
+    /// Row MTTKRP through the fastest applicable kernel: the
+    /// interleaved-mirror kernel for 3-mode tensors and the row-major
+    /// master walk for other orders. Both routes are bitwise-identical
+    /// for the same state (mirror rows recover the masters exactly at
+    /// either precision), so this dispatch is purely a bandwidth choice.
     pub fn mttkrp_row_ws(
         &self,
         window: &SparseTensor,
@@ -230,16 +229,10 @@ impl FactorState {
         index: u32,
         out: &mut [f64],
         scratch: &mut [f64],
-        par: &ParConfig,
     ) {
         if self.order() == 3 {
-            if par.engages(self.rank(), window.deg(mode, index)) {
-                mttkrp_row_par(window, &self.mirror, mode, index, out, par.threads)
-                    .expect("workspace-sized buffers");
-            } else {
-                mttkrp_row_interleaved(window, &self.mirror, mode, index, out)
-                    .expect("workspace-sized buffers");
-            }
+            mttkrp_row_interleaved(window, &self.mirror, mode, index, out)
+                .expect("workspace-sized buffers");
         } else {
             mttkrp_row(window, &self.kruskal.factors, mode, index, out, scratch)
                 .expect("workspace-sized buffers");
@@ -276,7 +269,7 @@ pub fn update_row_exact(
     ws: &mut KernelWorkspace,
 ) {
     // u = (X+ΔX)(m)(i,:)·K(m)
-    state.mttkrp_row_ws(window, mode, index, &mut ws.bufs.acc, &mut ws.bufs.prod, &ws.par);
+    state.mttkrp_row_ws(window, mode, index, &mut ws.bufs.acc, &mut ws.bufs.prod);
     // Row solve against H(m) (cached Cholesky, pinv fallback).
     ws.solves.solve(&state.grams, &state.versions, mode, &ws.bufs.acc, &mut ws.bufs.row);
     state.commit_row(mode, index, &ws.bufs.row, &mut ws.bufs.old);

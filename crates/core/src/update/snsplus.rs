@@ -152,7 +152,6 @@ impl SnsPlusVec {
                 index,
                 &mut self.ws.bufs.acc,
                 &mut self.ws.bufs.prod,
-                &self.ws.par,
             );
         }
         descend_row(&mut self.state.kruskal.factors[mode], index, g, &self.ws.bufs.acc, self.eta);
@@ -282,7 +281,6 @@ impl SnsPlusRnd {
                 index,
                 &mut self.ws.bufs.acc,
                 &mut self.ws.bufs.prod,
-                &self.ws.par,
             );
         } else {
             // Eq. (23): e (model part via Ĝ) + sampled residuals + ΔX.

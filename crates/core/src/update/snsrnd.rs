@@ -130,7 +130,6 @@ impl SnsRnd {
                 index,
                 &mut self.ws.bufs.acc,
                 &mut self.ws.bufs.prod,
-                &self.ws.par,
             );
         } else {
             // Sampled path: Eq. (16).

@@ -188,52 +188,10 @@ impl GramSolves {
     }
 }
 
-/// Gates for the intra-event parallel fiber kernel
-/// ([`crate::mttkrp::mttkrp_row_par`]).
-///
-/// Spawning scoped worker threads costs single-digit microseconds — more
-/// than an entire default-rank event — so parallelism only pays when both
-/// the rank (work per fiber entry) and the fiber degree (entries per
-/// row MTTKRP) are large. Below either threshold the dispatch runs the
-/// serial interleaved kernel; results are bitwise-identical either way,
-/// so the gate is purely a performance knob. At the paper's defaults
-/// (`R = 20`) parallelism never engages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParConfig {
-    /// Worker threads to split the rank range over (`≤ 1` disables).
-    pub threads: usize,
-    /// Minimum rank before parallelism engages.
-    pub min_rank: usize,
-    /// Minimum fiber degree (non-zeros in the walked fiber) before
-    /// parallelism engages.
-    pub min_fiber_entries: usize,
-}
-
-impl Default for ParConfig {
-    fn default() -> Self {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
-        ParConfig { threads, min_rank: 64, min_fiber_entries: 256 }
-    }
-}
-
-impl ParConfig {
-    /// A config that always runs serially (single-threaded hosts, parity
-    /// tests).
-    pub fn serial() -> Self {
-        ParConfig { threads: 1, ..Default::default() }
-    }
-
-    /// True when a row MTTKRP at this rank/degree should parallelize.
-    #[inline]
-    pub fn engages(&self, rank: usize, fiber_degree: usize) -> bool {
-        self.threads > 1 && rank >= self.min_rank && fiber_degree >= self.min_fiber_entries
-    }
-}
-
 /// Everything a fast updater needs to process one event without heap
 /// allocation: row scratch, sampling buffers, the cached `H(m)`
 /// solves for both the live Grams and (for the sampling variants) the
-/// event-start `A_prevᵀA` Grams, and the intra-event parallelism gate.
+/// event-start `A_prevᵀA` Grams.
 #[derive(Debug, Clone)]
 pub struct KernelWorkspace {
     /// Scratch vectors.
@@ -243,8 +201,6 @@ pub struct KernelWorkspace {
     /// Cached `Ĥ(m)` over the event-start Grams `U(m) = A_prev(m)ᵀA(m)`
     /// (Eq. 17 / Eq. 26); unused by the non-sampling updaters.
     pub prev_solves: GramSolves,
-    /// Intra-event parallelism gate for the fiber MTTKRP.
-    pub par: ParConfig,
 }
 
 impl KernelWorkspace {
@@ -254,7 +210,6 @@ impl KernelWorkspace {
             bufs: RowBufs::new(rank),
             solves: GramSolves::new(order, rank),
             prev_solves: GramSolves::new(order, rank),
-            par: ParConfig::default(),
         }
     }
 }
@@ -328,16 +283,6 @@ mod tests {
         let mut again = [0.0; 3];
         ws.solve(&grams, &versions, 2, &u, &mut again);
         assert_eq!(fast, again);
-    }
-
-    #[test]
-    fn par_config_gates_on_rank_and_degree() {
-        let par = ParConfig { threads: 4, min_rank: 64, min_fiber_entries: 256 };
-        assert!(par.engages(64, 256));
-        assert!(!par.engages(63, 256));
-        assert!(!par.engages(64, 255));
-        assert!(!ParConfig::serial().engages(1000, 1000));
-        assert!(ParConfig::default().threads >= 1);
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! Parity proptests pinning the PR-3 hot-path kernels against their
-//! straightforward references: prefix/suffix Khatri–Rao products vs the
-//! per-mode kernel, cached Cholesky solves vs fresh solves, the fused
+//! Parity proptests pinning the hot-path kernels against their
+//! straightforward references: cached Cholesky solves vs fresh solves, the fused
 //! sampled-residual MTTKRP vs the eval-then-multiply route, and
 //! bitwise-identical engine math under workspace reuse.
 //!
@@ -16,8 +15,8 @@ use sns_core::grams::{compute_grams, gram_row_update, hadamard_except};
 use sns_core::kruskal::KruskalTensor;
 use sns_core::mirror::{round_row_f32, FactorMirror};
 use sns_core::mttkrp::{
-    khatri_rao_row, khatri_rao_rows_all, mttkrp_full, mttkrp_full_all, mttkrp_row,
-    mttkrp_row_from_entries, mttkrp_row_interleaved, mttkrp_row_par, mttkrp_row_sampled_residuals,
+    khatri_rao_row, mttkrp_row, mttkrp_row_from_entries, mttkrp_row_interleaved,
+    mttkrp_row_sampled_residuals,
 };
 use sns_core::update::common::update_row_exact;
 use sns_core::update::FactorState;
@@ -60,50 +59,6 @@ fn ensure(cond: bool, msg: impl FnOnce() -> String) -> Result<(), String> {
     } else {
         Err(msg())
     }
-}
-
-/// The prefix/suffix all-modes Khatri–Rao rows must match the per-mode
-/// kernel for every skip mode (≤ 1e-12: multiplication order differs).
-fn check_prefix_suffix_kr(dims: &[usize], rank: usize, seed: u64) -> Result<(), String> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let f = random_factors(&mut rng, dims, rank);
-    let coord: Vec<u32> = dims.iter().map(|&d| rng.gen_range(0..d as u32)).collect();
-    let c = Coord::new(&coord);
-    let m = dims.len();
-    let mut scratch = vec![0.0; (m + 2) * rank];
-    let mut rows = vec![0.0; m * rank];
-    khatri_rao_rows_all(&f, &c, &mut scratch, &mut rows).map_err(|e| e.to_string())?;
-    let mut reference = vec![0.0; rank];
-    for skip in 0..m {
-        khatri_rao_row(&f, &c, skip, &mut reference);
-        for k in 0..rank {
-            let got = rows[skip * rank + k];
-            ensure(close(got, reference[k]), || {
-                format!("skip {skip} k {k}: {got} vs {}", reference[k])
-            })?;
-        }
-    }
-    Ok(())
-}
-
-/// All-modes MTTKRP must equal the mode-at-a-time kernel on every mode.
-fn check_mttkrp_full_all(dims: &[usize], rank: usize, seed: u64) -> Result<(), String> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let f = random_factors(&mut rng, dims, rank);
-    let x = random_sparse(&mut rng, dims, 20);
-    let all = mttkrp_full_all(&x, &f);
-    for (mode, got) in all.iter().enumerate() {
-        let reference = mttkrp_full(&x, &f, mode);
-        ensure(got.shape() == reference.shape(), || format!("mode {mode}: shape mismatch"))?;
-        for i in 0..reference.rows() {
-            for j in 0..reference.cols() {
-                ensure(close(got[(i, j)], reference[(i, j)]), || {
-                    format!("mode {mode} ({i},{j}): {} vs {}", got[(i, j)], reference[(i, j)])
-                })?;
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Cached H(m) Cholesky solves must track fresh `solve_row_sym` to 1e-12
@@ -245,26 +200,6 @@ fn check_interleaved_bitwise(dims: &[usize], rank: usize, seed: u64) -> Result<(
     })
 }
 
-/// Rank-split parallel MTTKRP must match the serial route **bitwise**
-/// at every thread count: each worker owns a contiguous `k`-range and
-/// walks the whole fiber, so per-`k` accumulation order never changes.
-fn check_parallel_bitwise(dims: &[usize], rank: usize, seed: u64) -> Result<(), String> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let f = random_factors(&mut rng, dims, rank);
-    let x = random_sparse(&mut rng, dims, 40);
-    let mirror = FactorMirror::new(&f, Precision::F64);
-    let mode = rng.gen_range(0..dims.len());
-    let index = rng.gen_range(0..dims[mode]) as u32;
-    let mut serial = vec![0.0; rank];
-    mttkrp_row_par(&x, &mirror, mode, index, &mut serial, 1).map_err(|e| e.to_string())?;
-    for threads in [2usize, 3, 5, 9, 16] {
-        let mut par = vec![0.0; rank];
-        mttkrp_row_par(&x, &mirror, mode, index, &mut par, threads).map_err(|e| e.to_string())?;
-        ensure(par == serial, || format!("threads {threads}: {par:?} vs {serial:?}"))?;
-    }
-    Ok(())
-}
-
 /// The `f32` speed profile's two contracts: (1) an `f32` mirror of
 /// f32-rounded masters reproduces the master-factor walk **bitwise**
 /// (widening is exact, accumulation is `f64` either way); (2) against
@@ -341,16 +276,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn prefix_suffix_kr_matches_per_mode(g in geometry()) {
-        check_prefix_suffix_kr(&g.0, g.1, g.2).map_err(TestCaseError::fail)?;
-    }
-
-    #[test]
-    fn mttkrp_full_all_matches_per_mode(g in geometry()) {
-        check_mttkrp_full_all(&g.0, g.1, g.2).map_err(TestCaseError::fail)?;
-    }
-
-    #[test]
     fn cached_gram_solves_match_fresh(g in geometry()) {
         check_cached_gram_solves(&g.0, g.1, g.2).map_err(TestCaseError::fail)?;
     }
@@ -373,11 +298,6 @@ proptest! {
     #[test]
     fn interleaved_mirror_is_bitwise_row_major(g in geometry3()) {
         check_interleaved_bitwise(&g.0, g.1, g.2).map_err(TestCaseError::fail)?;
-    }
-
-    #[test]
-    fn parallel_split_is_bitwise_serial(g in geometry3()) {
-        check_parallel_bitwise(&g.0, g.1, g.2).map_err(TestCaseError::fail)?;
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! The enum has three families of variants:
 //!
 //! - **Stream-model errors** ([`SnsError::OutOfOrder`],
-//!   [`SnsError::OrderMismatch`], [`SnsError::OutOfBounds`]) — a tuple
+//!   [`SnsError::OrderMismatch`], [`SnsError::OutOfBounds`],
+//!   [`SnsError::NonFiniteValue`]) — a tuple
 //!   violated the continuous tensor model's input contract
 //!   (Definition 1 of the paper).
 //! - **Batch errors** ([`SnsError::BatchAborted`]) — a batched
@@ -52,6 +53,13 @@ pub enum SnsError {
         index: u32,
         /// Length of that mode.
         len: usize,
+    },
+    /// A tuple's value is NaN or infinite. It is rejected before the
+    /// window is touched: one such value would poison every factor row
+    /// its fibers reach.
+    NonFiniteValue {
+        /// Timestamp of the offending tuple.
+        time: u64,
     },
     /// A batched operation stopped at its first failing tuple. Tuples
     /// before the failing one **were** applied and stay applied; `source`
@@ -234,6 +242,9 @@ impl fmt::Display for SnsError {
             SnsError::OutOfBounds { mode, index, len } => {
                 write!(f, "index {index} out of bounds for mode {mode} (length {len})")
             }
+            SnsError::NonFiniteValue { time } => {
+                write!(f, "tuple at time {time} has a non-finite value")
+            }
             SnsError::BatchAborted { accepted, applied, source } => {
                 write!(
                     f,
@@ -307,6 +318,7 @@ mod tests {
         assert!(SnsError::OutOfOrder { previous: 5, got: 3 }.to_string().contains('3'));
         assert!(SnsError::OrderMismatch { expected: 2, got: 3 }.to_string().contains('2'));
         assert!(SnsError::OutOfBounds { mode: 1, index: 9, len: 4 }.to_string().contains("mode 1"));
+        assert!(SnsError::NonFiniteValue { time: 42 }.to_string().contains("42"));
         let batch = SnsError::OutOfOrder { previous: 7, got: 2 }.aborted_at(11, 30);
         assert!(batch.to_string().contains("11 accepted"));
         assert!(batch.to_string().contains("after 7"));

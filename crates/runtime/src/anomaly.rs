@@ -31,7 +31,7 @@ use sns_core::als::{AlsOptions, AlsResult};
 use sns_core::anomaly::{AnomalyDetector, DetectorState, ScoredEvent, ZScoreTracker};
 use sns_core::kruskal::KruskalTensor;
 use sns_error::CodecFault;
-use sns_stream::{SnsError, StreamTuple};
+use sns_stream::{validate_tuple, SnsError, StreamTuple};
 use sns_tensor::SparseTensor;
 
 /// Declarative configuration of an [`AnomalyCpd`] decorator.
@@ -189,22 +189,12 @@ impl AnomalyCpd {
     }
 
     /// Scores one arrival against the wrapped engine's *current* model
-    /// state, returning the event (`None` when the tuple does not fit
-    /// the window and will be rejected by the engine anyway).
+    /// state, returning the event (`None` when the tuple breaks
+    /// [`validate_tuple`] and will be rejected by the engine anyway).
     fn score_arrival(&mut self, tuple: &StreamTuple) -> Option<ScoredEvent> {
-        if self.last_time.is_some_and(|prev| tuple.time < prev) {
-            return None; // out of order — the engine rejects it unscored
-        }
         let shape = self.inner.window().shape();
+        validate_tuple(tuple, shape, self.last_time).ok()?;
         let time_mode = shape.order() - 1;
-        if tuple.coords.order() != time_mode {
-            return None;
-        }
-        for m in 0..time_mode {
-            if tuple.coords.get(m) as usize >= shape.dim(m) {
-                return None;
-            }
-        }
         // Events are keyed by the newest-unit cell; the residual itself
         // is the engine family's own definition (continuous: newest
         // window unit; conventional: the pending unit's accumulation).

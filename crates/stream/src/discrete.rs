@@ -11,9 +11,8 @@
 //! A slide re-keys all non-zeros (O(nnz)) — once per period, consistent
 //! with the baselines' per-period cost model.
 
-use crate::tuple::StreamTuple;
+use crate::tuple::{validate_tuple, StreamTuple};
 use crate::Result;
-use sns_error::SnsError;
 use sns_tensor::{Coord, IndexedCoordSet, Shape, SparseTensor, SparseTensorState};
 
 /// Notification that a period just completed and the window slid by one.
@@ -138,26 +137,9 @@ impl DiscreteWindow {
     /// Ingests a tuple, first completing any periods that ended before it.
     ///
     /// # Errors
-    /// Rejects out-of-order tuples and out-of-shape coordinates.
+    /// Rejects tuples that break [`validate_tuple`].
     pub fn ingest(&mut self, tuple: StreamTuple, out: &mut Vec<PeriodUpdate>) -> Result<()> {
-        let base_order = self.time_mode();
-        if tuple.coords.order() != base_order {
-            return Err(SnsError::OrderMismatch {
-                expected: base_order,
-                got: tuple.coords.order(),
-            });
-        }
-        for m in 0..base_order {
-            let len = self.tensor.shape().dim(m);
-            if tuple.coords.get(m) as usize >= len {
-                return Err(SnsError::OutOfBounds { mode: m, index: tuple.coords.get(m), len });
-            }
-        }
-        if let Some(prev) = self.last_arrival {
-            if tuple.time < prev {
-                return Err(SnsError::OutOfOrder { previous: prev, got: tuple.time });
-            }
-        }
+        validate_tuple(&tuple, self.tensor.shape(), self.last_arrival)?;
         self.advance_to(tuple.time, out);
         self.last_arrival = Some(tuple.time);
         // Accumulate into the pending unit only; the window tensor does not

@@ -32,7 +32,7 @@ pub use delta::{Delta, DeltaKind};
 pub use discrete::{DiscreteWindow, DiscreteWindowState, PeriodUpdate};
 pub use scheduler::{EventQueue, ScheduledEvent};
 pub use sns_error::SnsError;
-pub use tuple::StreamTuple;
+pub use tuple::{validate_tuple, StreamTuple};
 pub use window::{window_from_log, ContinuousWindow, ContinuousWindowState};
 
 /// Result alias for stream operations, carrying the workspace-wide

@@ -2,9 +2,8 @@
 
 use crate::delta::{Changes, Delta, DeltaKind};
 use crate::scheduler::{EventQueue, ScheduledEvent};
-use crate::tuple::StreamTuple;
+use crate::tuple::{validate_tuple, StreamTuple};
 use crate::Result;
-use sns_error::SnsError;
 use sns_tensor::{Coord, Shape, SparseTensor, SparseTensorState};
 
 /// The continuous tensor window `X = D(t, W)`.
@@ -94,28 +93,6 @@ impl ContinuousWindow {
         self.events_processed
     }
 
-    fn validate(&self, tuple: &StreamTuple) -> Result<()> {
-        let base_order = self.time_mode();
-        if tuple.coords.order() != base_order {
-            return Err(SnsError::OrderMismatch {
-                expected: base_order,
-                got: tuple.coords.order(),
-            });
-        }
-        for m in 0..base_order {
-            let len = self.tensor.shape().dim(m);
-            if tuple.coords.get(m) as usize >= len {
-                return Err(SnsError::OutOfBounds { mode: m, index: tuple.coords.get(m), len });
-            }
-        }
-        if let Some(prev) = self.last_arrival {
-            if tuple.time < prev {
-                return Err(SnsError::OutOfOrder { previous: prev, got: tuple.time });
-            }
-        }
-        Ok(())
-    }
-
     /// Advances the clock to `t`, draining all boundary events due at or
     /// before `t` and appending their deltas to `out`.
     pub fn advance_to(&mut self, t: u64, out: &mut Vec<Delta>) {
@@ -163,10 +140,9 @@ impl ContinuousWindow {
     /// the order they were applied.
     ///
     /// # Errors
-    /// Rejects out-of-order tuples and coordinates that do not fit the
-    /// declared shape.
+    /// Rejects tuples that break [`validate_tuple`].
     pub fn ingest(&mut self, tuple: StreamTuple, out: &mut Vec<Delta>) -> Result<()> {
-        self.validate(&tuple)?;
+        validate_tuple(&tuple, self.tensor.shape(), self.last_arrival)?;
         self.advance_to(tuple.time, out);
         self.last_arrival = Some(tuple.time);
 
@@ -335,6 +311,7 @@ pub fn window_from_log(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SnsError;
 
     fn tup(a: u32, b: u32, v: f64, t: u64) -> StreamTuple {
         StreamTuple::new([a, b], v, t)

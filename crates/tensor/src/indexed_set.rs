@@ -1,9 +1,8 @@
 //! A set of coordinates (with cached entry values) supporting O(1)
-//! insert, remove, value update, and uniform sampling.
+//! insert, remove, and value update.
 //!
 //! Each `(mode, index)` fiber of the sparse tensor keeps one of these so
-//! that SNS_RND can draw `θ` non-zeros uniformly at random in O(θ) and the
-//! row update rules can enumerate a fiber in O(deg). The member values are
+//! that the row update rules can enumerate a fiber in O(deg). The member values are
 //! stored *inline* (denormalized from the tensor's entry map): fiber
 //! enumeration — the inner loop of every row MTTKRP — walks two dense
 //! vectors with zero hash lookups, at the price of one extra O(1) update
@@ -12,7 +11,6 @@
 
 use crate::coord::Coord;
 use crate::fxhash::FxHashMap;
-use rand::Rng;
 
 /// A swap-remove indexed set: dense `Vec`s of members and their values
 /// plus a position map.
@@ -126,7 +124,7 @@ impl IndexedCoordSet {
     }
 
     /// Rebuilds a set with an **exact** member order (state restore): the
-    /// resulting set iterates, samples, and swap-removes identically to
+    /// resulting set iterates and swap-removes identically to
     /// the one the order was captured from. Fails on duplicate members or
     /// a member/value length mismatch.
     pub fn from_ordered_entries(members: Vec<Coord>, values: Vec<f64>) -> Result<Self, String> {
@@ -183,36 +181,6 @@ impl IndexedCoordSet {
     pub fn values(&self) -> &[f64] {
         &self.values
     }
-
-    /// Draws `k` distinct members uniformly at random (without
-    /// replacement), appending them to `out`. If the set has ≤ `k`
-    /// members, all of them are returned. O(k) expected time when
-    /// `k ≪ len`, O(len) otherwise.
-    pub fn sample_distinct<R: Rng + ?Sized>(&self, rng: &mut R, k: usize, out: &mut Vec<Coord>) {
-        let n = self.members.len();
-        if n <= k {
-            out.extend_from_slice(&self.members);
-            return;
-        }
-        if k * 3 >= n {
-            // Dense regime: partial Fisher–Yates over a scratch index list.
-            let mut idx: Vec<u32> = (0..n as u32).collect();
-            for i in 0..k {
-                let j = rng.gen_range(i..n);
-                idx.swap(i, j);
-                out.push(self.members[idx[i] as usize]);
-            }
-        } else {
-            // Sparse regime: rejection-sample distinct positions.
-            let mut chosen = crate::fxhash::fx_set();
-            while chosen.len() < k {
-                let j = rng.gen_range(0..n);
-                if chosen.insert(j) {
-                    out.push(self.members[j]);
-                }
-            }
-        }
-    }
 }
 
 impl std::fmt::Debug for IndexedCoordSet {
@@ -224,8 +192,6 @@ impl std::fmt::Debug for IndexedCoordSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn c(i: u32) -> Coord {
         Coord::new(&[i, i + 1])
@@ -284,58 +250,6 @@ mod tests {
         assert_eq!(seen.len(), s.len());
         let set: std::collections::HashSet<_> = seen.iter().collect();
         assert_eq!(set.len(), seen.len());
-    }
-
-    #[test]
-    fn sample_returns_all_when_small() {
-        let mut s = IndexedCoordSet::new();
-        for i in 0..5 {
-            s.insert(c(i), 0.0);
-        }
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut out = Vec::new();
-        s.sample_distinct(&mut rng, 10, &mut out);
-        assert_eq!(out.len(), 5);
-    }
-
-    #[test]
-    fn sample_distinct_no_duplicates_both_regimes() {
-        let mut s = IndexedCoordSet::new();
-        for i in 0..50 {
-            s.insert(c(i), 0.0);
-        }
-        let mut rng = StdRng::seed_from_u64(2);
-        // Dense regime: k*3 >= n
-        let mut out = Vec::new();
-        s.sample_distinct(&mut rng, 20, &mut out);
-        assert_eq!(out.len(), 20);
-        let uniq: std::collections::HashSet<_> = out.iter().collect();
-        assert_eq!(uniq.len(), 20);
-        // Sparse regime: k*3 < n
-        let mut out = Vec::new();
-        s.sample_distinct(&mut rng, 5, &mut out);
-        assert_eq!(out.len(), 5);
-        let uniq: std::collections::HashSet<_> = out.iter().collect();
-        assert_eq!(uniq.len(), 5);
-    }
-
-    #[test]
-    fn sample_is_roughly_uniform() {
-        let mut s = IndexedCoordSet::new();
-        for i in 0..10 {
-            s.insert(c(i), 0.0);
-        }
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut counts = [0u32; 10];
-        for _ in 0..6000 {
-            let mut out = Vec::new();
-            s.sample_distinct(&mut rng, 1, &mut out);
-            counts[out[0].get(0) as usize] += 1;
-        }
-        // Each of the 10 members expects 600 draws; allow wide slack.
-        for (i, &n) in counts.iter().enumerate() {
-            assert!((400..800).contains(&n), "member {i} drawn {n} times");
-        }
     }
 
     #[test]

@@ -293,29 +293,6 @@ impl SparseTensor {
         self.fibers[mode].get(&index).map_or((&[][..], &[][..]), |s| (s.as_slice(), s.values()))
     }
 
-    /// Samples up to `k` distinct non-zero coordinates from the
-    /// `(mode, index)` fiber, uniformly without replacement, appending to
-    /// `out`. Coordinates present in `exclude` are dropped *after*
-    /// sampling, so fewer than `k` results may be returned.
-    pub fn sample_fiber<R: Rng + ?Sized>(
-        &self,
-        mode: usize,
-        index: u32,
-        k: usize,
-        rng: &mut R,
-        exclude: &[Coord],
-        out: &mut Vec<Coord>,
-    ) {
-        let Some(set) = self.fibers[mode].get(&index) else {
-            return;
-        };
-        let start = out.len();
-        set.sample_distinct(rng, k, out);
-        if !exclude.is_empty() {
-            out.truncate_retain(start, |c| !exclude.contains(c));
-        }
-    }
-
     /// Samples up to `k` distinct *positions* (coordinates of the full
     /// index space, zero entries included) from the `(mode, index)` fiber,
     /// uniformly without replacement. This is the sampling SNS_RND's
@@ -651,34 +628,6 @@ mod tests {
         assert_eq!(t.get(&Coord::new(&[0, 0])), 3.0);
         assert_eq!(t.get(&Coord::new(&[1, 1])), -1.0);
         assert_eq!(t.nnz(), 2);
-    }
-
-    #[test]
-    fn sampling_respects_exclusion_and_bounds() {
-        let mut t = small();
-        for b in 0..5u32 {
-            for k in 0..3u32 {
-                t.add(&c(2, b, k), 1.0);
-            }
-        }
-        assert_eq!(t.deg(0, 2), 15);
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut out = Vec::new();
-        t.sample_fiber(0, 2, 4, &mut rng, &[], &mut out);
-        assert_eq!(out.len(), 4);
-        assert!(out.iter().all(|cc| cc.get(0) == 2));
-        // Exclusion may shrink the sample but never includes the excluded.
-        let excl = [c(2, 0, 0), c(2, 1, 1)];
-        for _ in 0..50 {
-            let mut out = Vec::new();
-            t.sample_fiber(0, 2, 10, &mut rng, &excl, &mut out);
-            assert!(out.len() <= 10);
-            assert!(!out.iter().any(|cc| excl.contains(cc)));
-        }
-        // Sampling an empty fiber yields nothing.
-        let mut out = Vec::new();
-        t.sample_fiber(0, 3, 4, &mut rng, &[], &mut out);
-        assert!(out.is_empty());
     }
 
     #[test]

@@ -85,27 +85,6 @@ proptest! {
         }
     }
 
-    /// Sampling returns distinct in-fiber coordinates, and `min(k, deg)` of
-    /// them when nothing is excluded.
-    #[test]
-    fn sampling_contract(edits in proptest::collection::vec(edit_strategy(), 1..150), k in 1usize..10, seed in 0u64..1000) {
-        use rand::SeedableRng;
-        let shape = Shape::new(&[4, 5, 3]);
-        let mut sparse = SparseTensor::new(shape);
-        for (c, d) in &edits {
-            sparse.add(c, *d);
-        }
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        for i in 0..4u32 {
-            let mut out = Vec::new();
-            sparse.sample_fiber(0, i, k, &mut rng, &[], &mut out);
-            prop_assert_eq!(out.len(), k.min(sparse.deg(0, i)));
-            let uniq: std::collections::HashSet<_> = out.iter().map(|c| c.as_slice().to_vec()).collect();
-            prop_assert_eq!(uniq.len(), out.len());
-            prop_assert!(out.iter().all(|c| c.get(0) == i && sparse.get(c) != 0.0));
-        }
-    }
-
     /// Inner product is symmetric and matches the dense computation.
     #[test]
     fn inner_product_correct(e1 in proptest::collection::vec(edit_strategy(), 0..60),

@@ -13,7 +13,7 @@
 //!   so any wire-format drift without a `SCHEMA_VERSION` bump fails CI.
 
 use proptest::prelude::*;
-use slicenstitch::codec::{from_bytes, to_bytes, to_bytes_v1, SCHEMA_VERSION};
+use slicenstitch::codec::{from_bytes, to_bytes, SCHEMA_VERSION};
 use slicenstitch::core::als::AlsOptions;
 use slicenstitch::core::{AlgorithmKind, SnsConfig};
 use slicenstitch::data::{generate, GeneratorConfig};
@@ -108,14 +108,6 @@ proptest! {
         let bytes = to_bytes(&snapshot);
         let decoded = from_bytes(&bytes).unwrap();
         prop_assert_eq!(to_bytes(&decoded), bytes, "encoding must be canonical");
-
-        // v1 → v2 upgrade: the same snapshot written in the legacy
-        // envelope decodes to the same engine, and re-encoding it in v2
-        // matches the direct v2 bytes exactly.
-        let v1 = to_bytes_v1(&snapshot).unwrap();
-        let upgraded = from_bytes(&v1).unwrap();
-        prop_assert_eq!(upgraded.wal_seq, 0, "v1 carries no wal_seq");
-        prop_assert_eq!(to_bytes(&upgraded), bytes, "v1 upgrade must equal direct v2 encode");
 
         let mut restored = decoded.state.into_engine().unwrap();
         prop_assert_eq!(restored.name(), family_name(family).to_string());
@@ -228,7 +220,7 @@ fn truncation_at_section_boundaries_is_typed_for_every_family() {
 /// The checked-in golden fixtures: the **v2** fixture must decode and
 /// re-encode byte-identically (wire-format pin), and the **v1** fixture
 /// — frozen when `SCHEMA_VERSION` was 1 and never regenerated — must
-/// still thaw and re-encode to its committed v1 bytes (the
+/// still thaw, and upgrading it must yield the v2 fixture (the
 /// reader-keeps-every-prior-version promise). If the v2 half fails, the
 /// wire format changed — bump `SCHEMA_VERSION` and regenerate
 /// (`GOLDEN_BLESS=1 cargo test -q --test state_capture golden`).
@@ -251,16 +243,11 @@ fn golden_fixtures_pin_the_wire_format_and_v1_compat() {
     assert_eq!(to_bytes(&decoded), committed);
 
     // The v1 fixture is immutable history: never re-blessed. Decoding it
-    // must keep working, and the legacy writer must reproduce it.
+    // must keep working.
     let v1_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/golden_snapshot_v1.snsc");
     let v1_committed = std::fs::read(v1_path).expect("v1 golden fixture is checked in");
     let thawed = from_bytes(&v1_committed).unwrap();
     assert_eq!(thawed.wal_seq, 0, "v1 snapshots predate the WAL");
-    assert_eq!(
-        to_bytes_v1(&thawed).unwrap(),
-        v1_committed,
-        "v1 compatibility broke: old checkpoints would no longer thaw"
-    );
     assert_eq!(to_bytes(&thawed), committed, "upgrading the v1 fixture must yield the v2 fixture");
 }
 

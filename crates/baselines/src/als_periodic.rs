@@ -11,7 +11,7 @@ use sns_core::als::als_sweep;
 use sns_core::grams::compute_grams;
 use sns_core::kruskal::KruskalTensor;
 use sns_linalg::Mat;
-use sns_stream::PeriodUpdate;
+use sns_stream::{PeriodUpdate, SnsError};
 use sns_tensor::SparseTensor;
 
 /// Periodic warm-started batch ALS.
@@ -44,16 +44,18 @@ impl AlsPeriodic {
 }
 
 impl PeriodicCpd for AlsPeriodic {
-    fn on_period(&mut self, window: &SparseTensor, update: &PeriodUpdate) {
+    fn on_period(&mut self, window: &SparseTensor, update: &PeriodUpdate) -> Result<(), SnsError> {
         let tm = self.kruskal.order() - 1;
         slide_time_factor(&mut self.kruskal, &mut self.grams, tm);
         // A zeroed newest time row annihilates the MTTKRP of the newest
         // unit (and with it the whole sweep on sparse windows): seed it by
         // least squares from the new slice first.
-        crate::periodic::solve_new_time_row(&mut self.kruskal, &mut self.grams, update);
+        crate::periodic::solve_new_time_row(&mut self.kruskal, &mut self.grams, update)
+            .map_err(|e| crate::periodic::diverged(self.name(), e))?;
         for _ in 0..self.sweeps {
             als_sweep(window, &mut self.kruskal, &mut self.grams);
         }
+        Ok(())
     }
 
     fn kruskal(&self) -> &KruskalTensor {
@@ -99,7 +101,7 @@ mod tests {
             updates.clear();
             w.ingest(tu, &mut updates).unwrap();
             for u in &updates {
-                alg.on_period(w.tensor(), u);
+                alg.on_period(w.tensor(), u).unwrap();
             }
         }
         let fit = alg.fitness(w.tensor());

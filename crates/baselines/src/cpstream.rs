@@ -21,13 +21,13 @@
 //! rows (sliding with the window) so fitness is measured on the same
 //! window tensor as every other method.
 
-use crate::periodic::{slide_time_factor, PeriodicCpd};
+use crate::periodic::{diverged, slide_time_factor, PeriodicCpd};
 use sns_core::grams::compute_grams;
 use sns_core::kruskal::KruskalTensor;
 use sns_core::mttkrp::mttkrp_row_from_entries;
 use sns_linalg::ops::{gram, hadamard, hadamard_assign, matmul};
 use sns_linalg::Mat;
-use sns_stream::PeriodUpdate;
+use sns_stream::{PeriodUpdate, SnsError};
 use sns_tensor::{Coord, SparseTensor};
 
 /// Windowed CP-stream with forgetting factor µ.
@@ -96,7 +96,7 @@ impl CpStream {
     }
 
     /// `s_t` least squares against the categorical factors.
-    fn solve_time_row(&self, entries: &[(Coord, f64)], out: &mut [f64]) {
+    fn solve_time_row(&self, entries: &[(Coord, f64)], out: &mut [f64]) -> Result<(), SnsError> {
         let tm = self.kruskal.order() - 1;
         let rank = self.kruskal.rank();
         let mut u = vec![0.0; rank];
@@ -108,12 +108,12 @@ impl CpStream {
         for m in 0..tm {
             hadamard_assign(&mut h, &self.grams[m]).expect("rank shapes agree");
         }
-        sns_linalg::lstsq::solve_row_sym(&h, &u, out);
+        sns_linalg::lstsq::solve_row_sym(&h, &u, out).map_err(|e| diverged(self.name(), e))
     }
 }
 
 impl PeriodicCpd for CpStream {
-    fn on_period(&mut self, _window: &SparseTensor, update: &PeriodUpdate) {
+    fn on_period(&mut self, _window: &SparseTensor, update: &PeriodUpdate) -> Result<(), SnsError> {
         let tm = self.kruskal.order() - 1;
         let rank = self.kruskal.rank();
         let newest = self.kruskal.factors[tm].rows() - 1;
@@ -126,7 +126,7 @@ impl PeriodicCpd for CpStream {
         let mut s = vec![0.0; rank];
         for _ in 0..self.inner_iters.max(1) {
             // (1) new time vector against current categorical factors.
-            self.solve_time_row(&entries, &mut s);
+            self.solve_time_row(&entries, &mut s)?;
             self.kruskal.factors[tm].set_row(newest, &s);
             self.grams[tm] = gram(&self.kruskal.factors[tm]);
             // (2) categorical factors against µ-weighted history + slice.
@@ -168,8 +168,8 @@ impl PeriodicCpd for CpStream {
                 for (gg, hh) in g.as_mut_slice().iter_mut().zip(h_t.as_slice()) {
                     *gg += hh;
                 }
-                self.kruskal.factors[m] =
-                    sns_linalg::lstsq::solve_xh_eq_u(&g, &p).expect("finite accumulators");
+                self.kruskal.factors[m] = sns_linalg::lstsq::solve_xh_eq_u(&g, &p)
+                    .map_err(|e| diverged(self.name(), e))?;
                 self.grams[m] = gram(&self.kruskal.factors[m]);
             }
         }
@@ -202,6 +202,7 @@ impl PeriodicCpd for CpStream {
                 *gg += hh;
             }
         }
+        Ok(())
     }
 
     fn kruskal(&self) -> &KruskalTensor {
@@ -277,7 +278,7 @@ mod tests {
             updates.clear();
             w.ingest(StreamTuple::new([a, b], 1.0, t), &mut updates).unwrap();
             for u in &updates {
-                alg.on_period(w.tensor(), u);
+                alg.on_period(w.tensor(), u).unwrap();
             }
         }
         let fit = alg.fitness(w.tensor());

@@ -28,25 +28,34 @@ impl<B: PeriodicCpd> BaselineEngine<B> {
 
     /// Ingests a tuple; runs the baseline for each period that completed.
     /// Returns how many periods completed.
+    ///
+    /// # Errors
+    /// The window's validation error, or [`SnsError::Diverged`] when a
+    /// period update fails; periods before the failing one stay applied.
     pub fn ingest(&mut self, tuple: StreamTuple) -> sns_stream::Result<usize> {
         self.buf.clear();
         self.window.ingest(tuple, &mut self.buf)?;
-        for u in &self.buf {
-            self.algo.on_period(self.window.tensor(), u);
-        }
-        self.periods += self.buf.len() as u64;
-        Ok(self.buf.len())
+        self.run_periods()
     }
 
-    /// Flushes periods ending at or before `t`.
-    pub fn flush_to(&mut self, t: u64) -> usize {
+    /// Flushes periods ending at or before `t`. Returns how many periods
+    /// completed.
+    ///
+    /// # Errors
+    /// [`SnsError::Diverged`] when a period update fails; periods before
+    /// the failing one stay applied.
+    pub fn flush_to(&mut self, t: u64) -> sns_stream::Result<usize> {
         self.buf.clear();
         self.window.flush_to(t, &mut self.buf);
+        self.run_periods()
+    }
+
+    fn run_periods(&mut self) -> sns_stream::Result<usize> {
         for u in &self.buf {
-            self.algo.on_period(self.window.tensor(), u);
+            self.algo.on_period(self.window.tensor(), u)?;
+            self.periods += 1;
         }
-        self.periods += self.buf.len() as u64;
-        self.buf.len()
+        Ok(self.buf.len())
     }
 
     /// Ingests a tuple into the window **without** running the baseline
@@ -137,10 +146,24 @@ mod tests {
             n +=
                 e.ingest(StreamTuple::new([(t % 4) as u32, ((t / 4) % 4) as u32], 1.0, t)).unwrap();
         }
-        n += e.flush_to(100);
+        n += e.flush_to(100).unwrap();
         assert_eq!(n as u64, e.periods());
         assert_eq!(e.periods(), 10);
         assert!(e.fitness().is_finite());
+    }
+
+    #[test]
+    fn a_non_finite_factor_fails_the_period_with_a_typed_error() {
+        let mut alg = crate::onlinescp::OnlineScp::new(&[4, 4, 3], 2, 3);
+        let mut k = alg.kruskal().clone();
+        k.factors[0][(0, 0)] = f64::NAN;
+        let grams = sns_core::grams::compute_grams(&k.factors);
+        alg.install(k, grams);
+        let mut e = BaselineEngine::new(&[4, 4], 3, 10, alg);
+        e.ingest(StreamTuple::new([1u32, 2], 1.0, 0)).unwrap();
+        let err = e.ingest(StreamTuple::new([2u32, 1], 1.0, 11)).unwrap_err();
+        assert!(matches!(err, SnsError::Diverged { ref engine, .. } if engine == "OnlineSCP"));
+        assert!(matches!(e.flush_to(100), Err(SnsError::Diverged { .. })));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use sns_core::kruskal::KruskalTensor;
 use sns_core::mttkrp::{khatri_rao_row, mttkrp_row_from_entries};
 use sns_linalg::ops::gram;
 use sns_linalg::Mat;
-use sns_stream::PeriodUpdate;
+use sns_stream::{PeriodUpdate, SnsError};
 use sns_tensor::{Coord, SparseTensor};
 
 /// Windowed NeCPD with `epochs` SGD passes per period.
@@ -112,7 +112,7 @@ impl NeCpd {
 }
 
 impl PeriodicCpd for NeCpd {
-    fn on_period(&mut self, _window: &SparseTensor, update: &PeriodUpdate) {
+    fn on_period(&mut self, _window: &SparseTensor, update: &PeriodUpdate) -> Result<(), SnsError> {
         use rand::seq::SliceRandom;
         let tm = self.kruskal.order() - 1;
         let rank = self.kruskal.rank();
@@ -130,7 +130,7 @@ impl PeriodicCpd for NeCpd {
             update.slice.iter().map(|&(c, v)| (c.extended(newest as u32), v)).collect();
         if entries.is_empty() {
             // Nothing arrived this period; the new time row stays zero.
-            return;
+            return Ok(());
         }
         // Warm init of the new time row by least squares.
         let mut u = vec![0.0; rank];
@@ -139,7 +139,8 @@ impl PeriodicCpd for NeCpd {
             .expect("rank-sized buffers");
         let h = hadamard_except(&self.grams, tm, rank);
         let mut s = vec![0.0; rank];
-        sns_linalg::lstsq::solve_row_sym(&h, &u, &mut s);
+        sns_linalg::lstsq::solve_row_sym(&h, &u, &mut s)
+            .map_err(|e| crate::periodic::diverged(self.name(), e))?;
         self.kruskal.factors[tm].set_row(newest, &s);
 
         // SGD epochs over the slice, shuffled each pass.
@@ -155,6 +156,7 @@ impl PeriodicCpd for NeCpd {
         for m in 0..self.kruskal.order() {
             self.grams[m] = gram(&self.kruskal.factors[m]);
         }
+        Ok(())
     }
 
     fn kruskal(&self) -> &KruskalTensor {
@@ -231,7 +233,7 @@ mod tests {
             updates.clear();
             w.ingest(StreamTuple::new([a, b], 1.0, t), &mut updates).unwrap();
             for u in &updates {
-                alg.on_period(w.tensor(), u);
+                alg.on_period(w.tensor(), u).unwrap();
             }
         }
         (w, alg)
@@ -266,7 +268,7 @@ mod tests {
         // Jump far ahead: several empty periods complete.
         w.ingest(StreamTuple::new([1u32, 1], 1.0, 55), &mut updates).unwrap();
         for u in &updates {
-            alg.on_period(w.tensor(), u);
+            alg.on_period(w.tensor(), u).unwrap();
         }
         assert!(alg.kruskal().is_finite());
     }

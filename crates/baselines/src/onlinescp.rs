@@ -15,13 +15,13 @@
 //! which matches OnlineSCP's position in Fig. 5a (accurate but the
 //! slowest online baseline).
 
-use crate::periodic::{slide_time_factor, solve_new_time_row, PeriodicCpd};
+use crate::periodic::{diverged, slide_time_factor, solve_new_time_row, PeriodicCpd};
 use sns_core::grams::{compute_grams, hadamard_except};
 use sns_core::kruskal::KruskalTensor;
 use sns_core::mttkrp::mttkrp_full;
 use sns_linalg::ops::gram;
 use sns_linalg::Mat;
-use sns_stream::PeriodUpdate;
+use sns_stream::{PeriodUpdate, SnsError};
 use sns_tensor::SparseTensor;
 
 /// Windowed OnlineSCP.
@@ -48,22 +48,24 @@ impl OnlineScp {
 }
 
 impl PeriodicCpd for OnlineScp {
-    fn on_period(&mut self, window: &SparseTensor, update: &PeriodUpdate) {
+    fn on_period(&mut self, window: &SparseTensor, update: &PeriodUpdate) -> Result<(), SnsError> {
         let tm = self.kruskal.order() - 1;
         let rank = self.kruskal.rank();
         // 1. Slide the time factor with the window.
         slide_time_factor(&mut self.kruskal, &mut self.grams, tm);
         // 2. New time row from the new slice (historical rows fixed —
         //    OnlineSCP never revisits committed time rows).
-        solve_new_time_row(&mut self.kruskal, &mut self.grams, update);
+        solve_new_time_row(&mut self.kruskal, &mut self.grams, update)
+            .map_err(|e| diverged(self.name(), e))?;
         // 3. Single refresh of each categorical factor over the window.
         for m in 0..tm {
             let u = mttkrp_full(window, &self.kruskal.factors, m);
             let h = hadamard_except(&self.grams, m, rank);
             self.kruskal.factors[m] =
-                sns_linalg::lstsq::solve_xh_eq_u(&h, &u).expect("finite Gram system");
+                sns_linalg::lstsq::solve_xh_eq_u(&h, &u).map_err(|e| diverged(self.name(), e))?;
             self.grams[m] = gram(&self.kruskal.factors[m]);
         }
+        Ok(())
     }
 
     fn kruskal(&self) -> &KruskalTensor {
@@ -119,7 +121,7 @@ mod tests {
             updates.clear();
             w.ingest(StreamTuple::new([a, b], 1.0, t), &mut updates).unwrap();
             for u in &updates {
-                alg.on_period(w.tensor(), u);
+                alg.on_period(w.tensor(), u).unwrap();
             }
         }
         let fit = alg.fitness(w.tensor());
@@ -139,7 +141,7 @@ mod tests {
         }
         w.flush_to(10, &mut updates);
         assert_eq!(updates.len(), 1);
-        alg.on_period(w.tensor(), &updates[0]);
+        alg.on_period(w.tensor(), &updates[0]).unwrap();
         let rec = alg.kruskal().eval(&sns_tensor::Coord::new(&[2, 2, 2]));
         assert!(rec > 0.0, "reconstruction at slice mass is {rec}");
     }

@@ -2,7 +2,7 @@
 
 use crate::state::BaselineAlgoState;
 use sns_core::kruskal::KruskalTensor;
-use sns_linalg::Mat;
+use sns_linalg::{LinalgError, Mat};
 use sns_stream::{PeriodUpdate, SnsError};
 use sns_tensor::SparseTensor;
 
@@ -12,7 +12,11 @@ pub trait PeriodicCpd {
     /// Called once per completed period. `window` is the post-slide
     /// discrete window (completed units only); `update` carries the new
     /// slice and the evicted unit.
-    fn on_period(&mut self, window: &SparseTensor, update: &PeriodUpdate);
+    ///
+    /// # Errors
+    /// [`SnsError::Diverged`] when a least-squares solve fails (a
+    /// non-finite Gram system); the factors are then unusable.
+    fn on_period(&mut self, window: &SparseTensor, update: &PeriodUpdate) -> Result<(), SnsError>;
 
     /// Current factorization (time factor has `W` rows aligned with the
     /// window's time indices).
@@ -45,7 +49,7 @@ pub trait PeriodicCpd {
 /// Boxed baselines are baselines too, so `BaselineEngine<Box<dyn
 /// PeriodicCpd>>` can wrap a runtime-chosen algorithm.
 impl<P: PeriodicCpd + ?Sized> PeriodicCpd for Box<P> {
-    fn on_period(&mut self, window: &SparseTensor, update: &PeriodUpdate) {
+    fn on_period(&mut self, window: &SparseTensor, update: &PeriodUpdate) -> Result<(), SnsError> {
         (**self).on_period(window, update)
     }
 
@@ -74,6 +78,12 @@ impl<P: PeriodicCpd + ?Sized> PeriodicCpd for Box<P> {
     }
 }
 
+/// Wraps a failed least-squares solve of baseline `engine` as
+/// [`SnsError::Diverged`].
+pub(crate) fn diverged(engine: String, cause: LinalgError) -> SnsError {
+    SnsError::Diverged { engine, detail: cause.to_string() }
+}
+
 /// Shifts the time factor one row up (window slide) and refreshes its
 /// Gram: row `k ← k+1`, last row zeroed. Shared by every baseline.
 pub fn slide_time_factor(kruskal: &mut KruskalTensor, grams: &mut [Mat], time_mode: usize) {
@@ -86,7 +96,14 @@ pub fn slide_time_factor(kruskal: &mut KruskalTensor, grams: &mut [Mat], time_mo
 /// refreshes the time Gram. Every baseline performs this step right after
 /// the slide — a zeroed newest row would otherwise zero the MTTKRP of the
 /// newest unit and can collapse ALS-style refreshes entirely.
-pub fn solve_new_time_row(kruskal: &mut KruskalTensor, grams: &mut [Mat], update: &PeriodUpdate) {
+///
+/// # Errors
+/// The row solve's error when the categorical Grams are not finite.
+pub fn solve_new_time_row(
+    kruskal: &mut KruskalTensor,
+    grams: &mut [Mat],
+    update: &PeriodUpdate,
+) -> sns_linalg::Result<()> {
     let tm = kruskal.order() - 1;
     let rank = kruskal.rank();
     let newest = (kruskal.factors[tm].rows() - 1) as u32;
@@ -98,9 +115,10 @@ pub fn solve_new_time_row(kruskal: &mut KruskalTensor, grams: &mut [Mat], update
         .expect("rank-sized buffers");
     let h = sns_core::grams::hadamard_except(grams, tm, rank);
     let mut s = vec![0.0; rank];
-    sns_linalg::lstsq::solve_row_sym(&h, &u, &mut s);
+    sns_linalg::lstsq::solve_row_sym(&h, &u, &mut s)?;
     kruskal.factors[tm].set_row(newest as usize, &s);
     grams[tm] = sns_linalg::ops::gram(&kruskal.factors[tm]);
+    Ok(())
 }
 
 #[cfg(test)]

@@ -215,8 +215,8 @@ mod tests {
                 original.ingest(tu).unwrap();
                 restored.ingest(tu).unwrap();
             }
-            original.flush_to(400);
-            restored.flush_to(400);
+            original.flush_to(400).unwrap();
+            restored.flush_to(400).unwrap();
             assert_eq!(original.periods(), restored.periods(), "{name}");
             assert_eq!(original.fitness().to_bits(), restored.fitness().to_bits(), "{name}");
             for m in 0..3 {

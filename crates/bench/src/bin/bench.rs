@@ -255,18 +255,16 @@ fn json_opt_u64(x: Option<u64>) -> String {
     x.map_or_else(|| "null".to_string(), |v| v.to_string())
 }
 
-/// Shared CLI plumbing: `--tag` (default `pr6`) and the `--out` override
-/// for a `<PREFIX>_<tag>.json` artifact.
-fn tagged_out_path(args: &[String], prefix: &str) -> String {
-    let tag = args
-        .iter()
-        .position(|a| a == "--tag")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "pr6".to_string());
-    args.iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| format!("{prefix}_{tag}.json"))
+/// The value following flag `name` (e.g. `--out`), if present.
+fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
+    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
+}
+
+/// Shared CLI plumbing: `--tag` (default `default_tag`) and the `--out`
+/// override for a `<PREFIX>_<tag>.json` artifact.
+fn tagged_out_path(args: &[String], prefix: &str, default_tag: &str) -> String {
+    let tag = flag_value(args, "--tag").unwrap_or(default_tag);
+    flag_value(args, "--out").map_or_else(|| format!("{prefix}_{tag}.json"), String::from)
 }
 
 struct ResourceResult {
@@ -375,7 +373,7 @@ fn run_resources_command(args: &[String]) {
     let smoke = args.iter().any(|a| a == "--smoke");
     let pooled = args.iter().any(|a| a == "--pooled");
     let enforce = args.iter().any(|a| a == "--enforce-floor");
-    let out_path = tagged_out_path(args, "RESOURCES");
+    let out_path = tagged_out_path(args, "RESOURCES", "pr6");
     let spec = nytaxi_like();
     let params = ExperimentParams::from_spec(&spec);
     let events = if smoke { spec.default_events / 4 } else { spec.default_events };
@@ -508,19 +506,15 @@ fn run_resources_command(args: &[String]) {
 /// machine-readable report.
 fn run_sweep_command(args: &[String]) {
     let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "SWEEP_pr4.json".to_string());
+    let out_path = flag_value(args, "--out").unwrap_or("SWEEP_pr4.json").to_string();
     let mut cfg = SweepConfig::default();
-    if let Some(ranks) = args.iter().position(|a| a == "--ranks").and_then(|i| args.get(i + 1)) {
+    if let Some(ranks) = flag_value(args, "--ranks") {
         let parsed: Vec<usize> = ranks.split(',').filter_map(|r| r.trim().parse().ok()).collect();
         if !parsed.is_empty() {
             cfg.ranks = parsed;
         }
     }
-    if let Some(shards) = args.iter().position(|a| a == "--shards").and_then(|i| args.get(i + 1)) {
+    if let Some(shards) = flag_value(args, "--shards") {
         if let Ok(n) = shards.parse::<usize>() {
             cfg.shards = n.max(1);
         }
@@ -593,25 +587,14 @@ fn parse_trace_override(value: &str) -> Option<TraceOverride> {
 /// seen on the bus).
 fn run_soak_command(args: &[String]) {
     let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = {
-        let tag = args
-            .iter()
-            .position(|a| a == "--tag")
-            .and_then(|i| args.get(i + 1).cloned())
-            .unwrap_or_else(|| "pr7".to_string());
-        args.iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1).cloned())
-            .unwrap_or_else(|| format!("METRICS_{tag}.json"))
-    };
+    let out_path = tagged_out_path(args, "METRICS", "pr7");
     let mut cfg = SoakConfig::default();
-    if let Some(shards) = args.iter().position(|a| a == "--shards").and_then(|i| args.get(i + 1)) {
+    if let Some(shards) = flag_value(args, "--shards") {
         if let Ok(n) = shards.parse::<usize>() {
             cfg.shards = n.max(1);
         }
     }
-    if let Some(streams) = args.iter().position(|a| a == "--streams").and_then(|i| args.get(i + 1))
-    {
+    if let Some(streams) = flag_value(args, "--streams") {
         if let Ok(n) = streams.parse::<usize>() {
             cfg.streams = n.max(1);
         }
@@ -648,24 +631,15 @@ fn run_soak_command(args: &[String]) {
 fn run_recover_command(args: &[String]) {
     let smoke = args.iter().any(|a| a == "--smoke");
     let wal = args.iter().any(|a| a == "--wal");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| {
-            if wal {
-                "RECOVER_pr8.json".to_string()
-            } else {
-                "RECOVER_pr5.json".to_string()
-            }
-        });
+    let default_out = if wal { "RECOVER_pr8.json" } else { "RECOVER_pr5.json" };
+    let out_path = flag_value(args, "--out").unwrap_or(default_out).to_string();
     let mut cfg = RecoverConfig { wal, ..Default::default() };
-    if let Some(shards) = args.iter().position(|a| a == "--shards").and_then(|i| args.get(i + 1)) {
+    if let Some(shards) = flag_value(args, "--shards") {
         if let Ok(n) = shards.parse::<usize>() {
             cfg.shards = n.max(1);
         }
     }
-    if let Some(dir) = args.iter().position(|a| a == "--dir").and_then(|i| args.get(i + 1)) {
+    if let Some(dir) = flag_value(args, "--dir") {
         cfg.dir = std::path::PathBuf::from(dir);
     }
     if smoke {
@@ -711,32 +685,21 @@ fn run_recover_command(args: &[String]) {
 fn run_fleet_command(args: &[String]) {
     let smoke = args.iter().any(|a| a == "--smoke");
     let enforce = args.iter().any(|a| a == "--enforce-floor");
-    let out_path = {
-        let tag = args
-            .iter()
-            .position(|a| a == "--tag")
-            .and_then(|i| args.get(i + 1).cloned())
-            .unwrap_or_else(|| "pr10".to_string());
-        args.iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1).cloned())
-            .unwrap_or_else(|| format!("BENCH_{tag}.json"))
-    };
+    let out_path = tagged_out_path(args, "BENCH", "pr10");
     let mut cfg = FleetConfig::default();
-    if let Some(grid) = args.iter().position(|a| a == "--shards").and_then(|i| args.get(i + 1)) {
+    if let Some(grid) = flag_value(args, "--shards") {
         let parsed: Vec<usize> =
             grid.split(',').filter_map(|s| s.trim().parse().ok()).filter(|&n| n > 0).collect();
         if !parsed.is_empty() {
             cfg.shard_grid = parsed;
         }
     }
-    if let Some(streams) = args.iter().position(|a| a == "--streams").and_then(|i| args.get(i + 1))
-    {
+    if let Some(streams) = flag_value(args, "--streams") {
         if let Ok(n) = streams.parse::<usize>() {
             cfg.streams = n.max(1);
         }
     }
-    if let Some(batch) = args.iter().position(|a| a == "--batch").and_then(|i| args.get(i + 1)) {
+    if let Some(batch) = flag_value(args, "--batch") {
         if let Ok(n) = batch.parse::<usize>() {
             cfg.batch = n.max(1);
         }
@@ -809,13 +772,8 @@ fn main() {
     }
     let smoke = args.iter().any(|a| a == "--smoke");
     let enforce = args.iter().any(|a| a == "--enforce-floor");
-    let out_path = tagged_out_path(&args, "BENCH");
-    let runs = args
-        .iter()
-        .position(|a| a == "--runs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(3);
+    let out_path = tagged_out_path(&args, "BENCH", "pr6");
+    let runs = flag_value(&args, "--runs").and_then(|s| s.parse::<usize>().ok()).unwrap_or(3);
 
     let spec = nytaxi_like();
     let params = ExperimentParams::from_spec(&spec);

@@ -116,13 +116,18 @@ fn run_conventional(
     let mut total = std::time::Duration::ZERO;
     let mut updates = 0u64;
     let mut fits = Vec::new();
-    for (i, tu) in measured.iter().enumerate() {
+    'stream: for (i, tu) in measured.iter().enumerate() {
         buf.clear();
         window.ingest(**tu, &mut buf).expect("chronological");
         if !buf.is_empty() {
             let start = Instant::now();
             for u in &buf {
-                algo.on_period(window.tensor(), u);
+                if algo.on_period(window.tensor(), u).is_err() {
+                    // A failed solve means the model diverged: report it
+                    // as NaN fitness and stop driving it.
+                    fits = vec![f64::NAN];
+                    break 'stream;
+                }
             }
             total += start.elapsed();
             updates += buf.len() as u64;

@@ -150,7 +150,14 @@ fn detect_periodic(
                     let coord = c.extended(newest);
                     det.observe(window.tensor(), algo.kruskal(), &coord, u.boundary);
                 }
-                algo.on_period(window.tensor(), u);
+                if algo.on_period(window.tensor(), u).is_err() {
+                    // A failed solve means the model diverged: report it
+                    // as NaN precision and stop driving it.
+                    let mut diverged = outcome(name, &det, injected, params.period);
+                    diverged.precision = f64::NAN;
+                    diverged.mean_gap = f64::NAN;
+                    return diverged;
+                }
             }
         }
     }

@@ -106,9 +106,9 @@ pub fn banner(title: &str) -> String {
     format!("\n=== {title} ===\n")
 }
 
-/// An Observation line: a PASS/CHECK verdict against a paper claim.
+/// An Observation line: a PASS/FAIL verdict against a paper claim.
 pub fn observation(id: &str, claim: &str, holds: bool) -> String {
-    format!("[{}] Observation {id}: {claim}", if holds { "PASS " } else { "CHECK" })
+    format!("[{}] Observation {id}: {claim}", if holds { "PASS " } else { "FAIL " })
 }
 
 #[cfg(test)]
@@ -155,6 +155,6 @@ mod tests {
     #[test]
     fn observation_verdicts() {
         assert!(observation("1", "x", true).starts_with("[PASS ]"));
-        assert!(observation("1", "x", false).starts_with("[CHECK]"));
+        assert!(observation("1", "x", false).starts_with("[FAIL ]"));
     }
 }

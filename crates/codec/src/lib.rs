@@ -531,57 +531,47 @@ mod tests {
         ));
     }
 
-    /// An `f32`-profile snapshot round-trips byte-identically, carries a
-    /// wire tag distinct from the `f64` encoding of the same engine, and
-    /// restores to a bitwise-equal engine (the f32 invariant makes the
-    /// rounded masters exactly representable).
+    /// A snapshot round-trips byte-identically and restores to an engine
+    /// that continues bitwise-identically to the captured one.
     #[test]
-    fn f32_profile_round_trips_with_a_distinct_wire_flag() {
-        use sns_core::config::Precision;
-        let mut encoded = Vec::new();
-        for precision in [Precision::F64, Precision::F32] {
-            let config = SnsConfig { rank: 3, theta: 2, seed: 9, precision, ..Default::default() };
-            let mut e = SnsEngine::new(&[4, 3], 3, 10, AlgorithmKind::PlusVec, &config);
-            for t in 0..60u64 {
-                e.ingest(StreamTuple::new([(t % 4) as u32, (t % 3) as u32], 1.0, t)).unwrap();
-            }
-            let snap = EngineSnapshot {
+    fn snapshot_round_trip_is_canonical_and_continues_bitwise() {
+        let config = SnsConfig { rank: 3, theta: 2, seed: 9, ..Default::default() };
+        let mut e = SnsEngine::new(&[4, 3], 3, 10, AlgorithmKind::PlusVec, &config);
+        for t in 0..60u64 {
+            e.ingest(StreamTuple::new([(t % 4) as u32, (t % 3) as u32], 1.0, t)).unwrap();
+        }
+        let snap = EngineSnapshot {
+            stream_id: 7,
+            spec: EngineSpec::sns(&[4, 3], 3, 10, AlgorithmKind::PlusVec, &config),
+            seed: 0xf00d,
+            wal_seq: 0,
+            state: e.capture().unwrap(),
+        };
+        let bytes = to_bytes(&snap);
+        let decoded = from_bytes(&bytes).unwrap();
+        assert_eq!(to_bytes(&decoded), bytes, "re-encode must be canonical");
+        let mut restored = decoded.state.into_engine().unwrap();
+        for t in 60..90u64 {
+            let tu = StreamTuple::new([(t % 4) as u32, (t % 3) as u32], 1.0, t);
+            restored.ingest(tu).unwrap();
+            e.ingest(tu).unwrap();
+        }
+        assert_eq!(
+            to_bytes(&EngineSnapshot {
                 stream_id: 7,
-                spec: EngineSpec::sns(&[4, 3], 3, 10, AlgorithmKind::PlusVec, &config),
+                spec: decoded.spec.clone(),
+                seed: 0xf00d,
+                wal_seq: 0,
+                state: restored.snapshot().unwrap(),
+            }),
+            to_bytes(&EngineSnapshot {
+                stream_id: 7,
+                spec: snap.spec.clone(),
                 seed: 0xf00d,
                 wal_seq: 0,
                 state: e.capture().unwrap(),
-            };
-            let bytes = to_bytes(&snap);
-            let decoded = from_bytes(&bytes).unwrap();
-            assert_eq!(to_bytes(&decoded), bytes, "re-encode must be canonical");
-            // The restored engine continues bitwise-identically to the
-            // captured one.
-            let mut restored = decoded.state.into_engine().unwrap();
-            for t in 60..90u64 {
-                let tu = StreamTuple::new([(t % 4) as u32, (t % 3) as u32], 1.0, t);
-                restored.ingest(tu).unwrap();
-                e.ingest(tu).unwrap();
-            }
-            assert_eq!(
-                to_bytes(&EngineSnapshot {
-                    stream_id: 7,
-                    spec: decoded.spec.clone(),
-                    seed: 0xf00d,
-                    wal_seq: 0,
-                    state: restored.snapshot().unwrap(),
-                }),
-                to_bytes(&EngineSnapshot {
-                    stream_id: 7,
-                    spec: snap.spec.clone(),
-                    seed: 0xf00d,
-                    wal_seq: 0,
-                    state: e.capture().unwrap(),
-                }),
-                "{precision:?}: restored engine drifted from the original"
-            );
-            encoded.push(bytes);
-        }
-        assert_ne!(encoded[0], encoded[1], "f32 and f64 profiles must encode distinctly");
+            }),
+            "restored engine drifted from the original"
+        );
     }
 }

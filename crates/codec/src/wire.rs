@@ -308,28 +308,9 @@ fn kind_from_tag(r: &Reader, tag: u8) -> Result<AlgorithmKind, SnsError> {
     })
 }
 
-fn precision_tag(p: Precision) -> u8 {
-    match p {
-        Precision::F64 => 0,
-        Precision::F32 => 1,
-    }
-}
-
-fn precision_from_tag(r: &Reader, tag: u8) -> Result<Precision, SnsError> {
-    Ok(match tag {
-        0 => Precision::F64,
-        1 => Precision::F32,
-        t => return Err(r.invalid(format!("precision tag {t}"))),
-    })
-}
-
-/// Encodes an engine spec (tagged by engine family and precision).
+/// Encodes an engine spec (tagged by engine family).
 pub fn put_spec(w: &mut Writer, spec: &EngineSpec) {
     match spec {
-        // Tag 0 is the legacy f64 layout (byte-identical to pre-precision
-        // snapshots); the f32 profile travels under its own tag 3 with an
-        // explicit precision byte, so old decoders reject rather than
-        // silently misread it.
         EngineSpec::Sns {
             base_dims,
             window,
@@ -339,10 +320,10 @@ pub fn put_spec(w: &mut Writer, spec: &EngineSpec) {
             theta,
             eta,
             init_scale,
-            precision,
+            precision: Precision::F64,
             seed,
         } => {
-            w.u8(if *precision == Precision::F64 { 0 } else { 3 });
+            w.u8(0);
             w.usize(base_dims.len());
             for &d in base_dims {
                 w.usize(d);
@@ -350,9 +331,6 @@ pub fn put_spec(w: &mut Writer, spec: &EngineSpec) {
             w.usize(*window);
             w.u64(*period);
             w.u8(kind_tag(*kind));
-            if *precision != Precision::F64 {
-                w.u8(precision_tag(*precision));
-            }
             w.usize(*rank);
             w.usize(*theta);
             w.f64(*eta);
@@ -399,14 +377,15 @@ pub fn put_spec(w: &mut Writer, spec: &EngineSpec) {
     }
 }
 
-/// Decodes an engine spec written by [`put_spec`].
+/// Decodes an engine spec written by [`put_spec`]. Spec tag 3, which
+/// older builds wrote for their `f32` factor profile, is an unknown tag.
 pub fn get_spec(r: &mut Reader) -> Result<EngineSpec, SnsError> {
     get_spec_at(r, 0)
 }
 
 fn get_spec_at(r: &mut Reader, depth: usize) -> Result<EngineSpec, SnsError> {
     match r.u8("spec tag")? {
-        tag @ (0 | 3) => {
+        0 => {
             let n = r.len(8, "base dims")?;
             let base_dims = (0..n).map(|_| r.usize("base dim")).collect::<Result<Vec<_>, _>>()?;
             let window = r.usize("window")?;
@@ -414,12 +393,6 @@ fn get_spec_at(r: &mut Reader, depth: usize) -> Result<EngineSpec, SnsError> {
             let kind = {
                 let tag = r.u8("kind")?;
                 kind_from_tag(r, tag)?
-            };
-            let precision = if tag == 3 {
-                let p = r.u8("precision")?;
-                precision_from_tag(r, p)?
-            } else {
-                Precision::F64
             };
             let rank = r.usize("rank")?;
             let theta = r.usize("theta")?;
@@ -435,7 +408,7 @@ fn get_spec_at(r: &mut Reader, depth: usize) -> Result<EngineSpec, SnsError> {
                 theta,
                 eta,
                 init_scale,
-                precision,
+                precision: Precision::F64,
                 seed,
             })
         }
@@ -505,43 +478,36 @@ fn get_rng(r: &mut Reader) -> Result<[u64; 4], SnsError> {
     Ok([r.u64("rng")?, r.u64("rng")?, r.u64("rng")?, r.u64("rng")?])
 }
 
-/// Tag offset for f32-profile updater states. The payload layout is
-/// identical to the f64 tags 0–4; only the tag differs, so f64 snapshots
-/// stay byte-identical to the legacy format and old decoders reject f32
-/// snapshots instead of silently dropping the profile.
-const F32_TAG_OFFSET: u8 = 16;
-
 /// Encodes the SliceNStitch updater state (tagged by algorithm).
 pub fn put_updater(w: &mut Writer, u: &UpdaterState) {
-    let offset = if u.precision() == Precision::F32 { F32_TAG_OFFSET } else { 0 };
     match u {
         UpdaterState::Mat { factors, grams } => {
             w.u8(0);
             put_kruskal(w, factors);
             put_mats(w, grams);
         }
-        UpdaterState::Vec { factors, grams, precision: _, diverged } => {
-            w.u8(1 + offset);
+        UpdaterState::Vec { factors, grams, diverged } => {
+            w.u8(1);
             put_kruskal(w, factors);
             put_mats(w, grams);
             w.bool(*diverged);
         }
-        UpdaterState::Rnd { factors, grams, precision: _, theta, rng, diverged } => {
-            w.u8(2 + offset);
+        UpdaterState::Rnd { factors, grams, theta, rng, diverged } => {
+            w.u8(2);
             put_kruskal(w, factors);
             put_mats(w, grams);
             w.usize(*theta);
             put_rng(w, rng);
             w.bool(*diverged);
         }
-        UpdaterState::PlusVec { factors, grams, precision: _, eta } => {
-            w.u8(3 + offset);
+        UpdaterState::PlusVec { factors, grams, eta } => {
+            w.u8(3);
             put_kruskal(w, factors);
             put_mats(w, grams);
             w.f64(*eta);
         }
-        UpdaterState::PlusRnd { factors, grams, precision: _, theta, eta, rng } => {
-            w.u8(4 + offset);
+        UpdaterState::PlusRnd { factors, grams, theta, eta, rng } => {
+            w.u8(4);
             put_kruskal(w, factors);
             put_mats(w, grams);
             w.usize(*theta);
@@ -551,28 +517,21 @@ pub fn put_updater(w: &mut Writer, u: &UpdaterState) {
     }
 }
 
-/// Decodes the updater state written by [`put_updater`].
+/// Decodes the updater state written by [`put_updater`]. Tags 17–20,
+/// which older builds wrote for their `f32` factor profile, are unknown
+/// tags.
 pub fn get_updater(r: &mut Reader) -> Result<UpdaterState, SnsError> {
     let tag = r.u8("updater tag")?;
-    let (base, precision) = if tag >= F32_TAG_OFFSET {
-        (tag - F32_TAG_OFFSET, Precision::F32)
-    } else {
-        (tag, Precision::F64)
-    };
-    match base {
-        0 if precision == Precision::F64 => {
-            Ok(UpdaterState::Mat { factors: get_kruskal(r)?, grams: get_mats(r)? })
-        }
+    match tag {
+        0 => Ok(UpdaterState::Mat { factors: get_kruskal(r)?, grams: get_mats(r)? }),
         1 => Ok(UpdaterState::Vec {
             factors: get_kruskal(r)?,
             grams: get_mats(r)?,
-            precision,
             diverged: r.bool("diverged")?,
         }),
         2 => Ok(UpdaterState::Rnd {
             factors: get_kruskal(r)?,
             grams: get_mats(r)?,
-            precision,
             theta: r.usize("theta")?,
             rng: get_rng(r)?,
             diverged: r.bool("diverged")?,
@@ -580,13 +539,11 @@ pub fn get_updater(r: &mut Reader) -> Result<UpdaterState, SnsError> {
         3 => Ok(UpdaterState::PlusVec {
             factors: get_kruskal(r)?,
             grams: get_mats(r)?,
-            precision,
             eta: r.f64("eta")?,
         }),
         4 => Ok(UpdaterState::PlusRnd {
             factors: get_kruskal(r)?,
             grams: get_mats(r)?,
-            precision,
             theta: r.usize("theta")?,
             eta: r.f64("eta")?,
             rng: get_rng(r)?,
@@ -770,5 +727,46 @@ fn get_engine_state_at(r: &mut Reader, depth: usize) -> Result<EngineState, SnsE
             Ok(EngineState::Chaos(Box::new(ChaosState { inner, config })))
         }
         t => Err(r.invalid(format!("engine state tag {t}"))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sns_error::CodecFault;
+
+    fn is_invalid<T>(decoded: Result<T, SnsError>) -> bool {
+        matches!(decoded, Err(SnsError::Codec { fault: CodecFault::Invalid, .. }))
+    }
+
+    /// Spec tag 3 and updater tags 17–20 are the layouts older builds
+    /// wrote for their `f32` factor profile: they must decode to a typed
+    /// error, never thaw as an `f64` engine.
+    #[test]
+    fn f32_profile_tags_decode_to_a_typed_error() {
+        let mut w = Writer::new();
+        w.u8(3);
+        w.usize(2);
+        w.usize(4);
+        w.usize(3);
+        w.usize(5);
+        w.u64(10);
+        w.u8(kind_tag(AlgorithmKind::PlusRnd));
+        w.u8(1);
+        w.usize(2);
+        w.usize(20);
+        w.f64(1000.0);
+        w.f64(1.0);
+        w.opt_u64(Some(7));
+        let bytes = w.into_bytes();
+        assert!(is_invalid(get_spec(&mut Reader::new(&bytes))));
+
+        let mut w = Writer::new();
+        w.u8(16 + 1);
+        put_kruskal(&mut w, &KruskalTensor::zeros(&[4, 3, 5], 2));
+        put_mats(&mut w, &vec![Mat::zeros(2, 2); 3]);
+        w.bool(false);
+        let bytes = w.into_bytes();
+        assert!(is_invalid(get_updater(&mut Reader::new(&bytes))));
     }
 }

@@ -19,13 +19,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sns_core::config::Precision;
 use sns_core::config::{AlgorithmKind, SnsConfig};
 use sns_core::engine::SnsEngine;
 use sns_core::grams::compute_grams;
 use sns_core::kruskal::KruskalTensor;
-use sns_core::mirror::FactorMirror;
-use sns_core::mttkrp::{mttkrp_full, mttkrp_row, mttkrp_row_interleaved};
+use sns_core::mttkrp::{mttkrp_full, mttkrp_row};
 use sns_core::update::{ContinuousUpdater, Updater};
 use sns_core::workspace::GramSolves;
 use sns_linalg::lstsq::solve_row_sym;
@@ -163,32 +161,6 @@ fn bench_mttkrp(c: &mut Criterion) {
             std::hint::black_box(out[0])
         })
     });
-    group.bench_function("row_fiber_interleaved_f64", |b| {
-        let mirror = FactorMirror::new(&k.factors, Precision::F64);
-        let mut out = vec![0.0; RANK];
-        let mut i = 0u32;
-        b.iter(|| {
-            i = (i + 1) % DIMS[0] as u32;
-            mttkrp_row_interleaved(&x, &mirror, 0, i, &mut out).expect("rank-sized buffers");
-            std::hint::black_box(out[0])
-        })
-    });
-    group.bench_function("row_fiber_interleaved_f32", |b| {
-        let mut rounded = k.factors.clone();
-        for m in &mut rounded {
-            for r in 0..m.rows() {
-                sns_core::mirror::round_row_f32(m.row_mut(r));
-            }
-        }
-        let mirror = FactorMirror::new(&rounded, Precision::F32);
-        let mut out = vec![0.0; RANK];
-        let mut i = 0u32;
-        b.iter(|| {
-            i = (i + 1) % DIMS[0] as u32;
-            mttkrp_row_interleaved(&x, &mirror, 0, i, &mut out).expect("rank-sized buffers");
-            std::hint::black_box(out[0])
-        })
-    });
     group.finish();
 }
 
@@ -207,7 +179,7 @@ fn bench_gram_solve(c: &mut Criterion) {
         let h = sns_core::grams::hadamard_except(&grams, 0, RANK);
         let mut out = vec![0.0; RANK];
         b.iter(|| {
-            solve_row_sym(&h, &u, &mut out);
+            solve_row_sym(&h, &u, &mut out).expect("finite Gram system");
             std::hint::black_box(out[0])
         })
     });

@@ -54,35 +54,16 @@ impl std::fmt::Display for AlgorithmKind {
     }
 }
 
-/// Factor-storage precision profile for the fast updaters.
-///
-/// [`Precision::F64`] (the default) is the exact path: factors live as
-/// `f64` end to end. [`Precision::F32`] is an opt-in speed profile:
-/// every committed factor row is rounded through `f32` and the kernel
-/// mirror ([`crate::mirror::FactorMirror`]) stores rows as `f32`, so the
-/// memory-bound fiber MTTKRP reads half the bytes. All *accumulation*
-/// stays in `f64`, which keeps the profile deterministic and bounds the
-/// per-commit rounding error at f32 epsilon (`≈1.2e-7` relative per
-/// entry); trajectories drift from the f64 profile but remain
-/// bitwise-reproducible run to run. `SNS_MAT` (full ALS per event) does
-/// not use the fast-updater state and always runs the f64 path.
+/// Factor-storage precision. Factors are always `f64`, so this has one
+/// variant; it stays only because `perfbench`'s shadow replay
+/// destructures `EngineSpec::Sns { precision }` and builds
+/// `SnsConfig { precision, .. }`. Dropping the field is a change to that
+/// benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Precision {
-    /// Exact `f64` factors (default).
+    /// `f64` factors.
     #[default]
     F64,
-    /// `f32`-stored factors with `f64` accumulation (speed profile).
-    F32,
-}
-
-impl Precision {
-    /// Display name used in bench output and snapshots' debug strings.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Precision::F64 => "f64",
-            Precision::F32 => "f32",
-        }
-    }
 }
 
 /// Hyperparameters shared by all updaters (Table III of the paper).
@@ -98,7 +79,7 @@ pub struct SnsConfig {
     pub init_scale: f64,
     /// RNG seed (factor init + sampling), for reproducible runs.
     pub seed: u64,
-    /// Factor-storage precision profile (default: exact `f64`).
+    /// Factor-storage precision (always [`Precision::F64`]).
     pub precision: Precision,
 }
 
@@ -138,12 +119,6 @@ impl SnsConfig {
         self.seed = seed;
         self
     }
-
-    /// Builder-style precision-profile override.
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -160,15 +135,11 @@ mod tests {
 
     #[test]
     fn builders() {
-        let c = SnsConfig::with_rank(5).theta(7).eta(32.0).seed(1).precision(Precision::F32);
+        let c = SnsConfig::with_rank(5).theta(7).eta(32.0).seed(1);
         assert_eq!(c.rank, 5);
         assert_eq!(c.theta, 7);
         assert_eq!(c.eta, 32.0);
         assert_eq!(c.seed, 1);
-        assert_eq!(c.precision, Precision::F32);
-        assert_eq!(SnsConfig::default().precision, Precision::F64);
-        assert_eq!(Precision::F64.name(), "f64");
-        assert_eq!(Precision::F32.name(), "f32");
     }
 
     #[test]

@@ -10,10 +10,7 @@
 //! - [`kruskal`] — the factorization object `[[λ; A(1),…,A(M)]]`,
 //! - [`grams`] — incrementally maintained Gram matrices `A(m)ᵀA(m)`,
 //! - [`mttkrp`] — sparse MTTKRP kernels (full, per-row with entry-pair
-//!   blocking over row-major or interleaved-mirror factors, fused
-//!   sampled-residual),
-//! - [`mirror`] — [`mirror::FactorMirror`]: interleaved, padded (and
-//!   optionally `f32`) factor storage the fiber kernels read,
+//!   blocking over the row-major factors, fused sampled-residual),
 //! - [`workspace`] — [`workspace::KernelWorkspace`]: per-updater scratch
 //!   buffers and version-keyed cached `H(m)` Cholesky solves that make
 //!   the steady-state per-event path allocation-free,
@@ -35,7 +32,6 @@ pub mod engine;
 pub mod fitness;
 pub mod grams;
 pub mod kruskal;
-pub mod mirror;
 pub mod mttkrp;
 pub mod update;
 pub mod workspace;

@@ -5,22 +5,13 @@
 //! non-zero `x_J`, a scaled element-wise product of factor rows — the
 //! Khatri–Rao product is never materialized.
 //!
-//! # Kernel variants
+//! # Fiber walk
 //!
-//! The fiber kernel exists in two layouts that are **bitwise
-//! interchangeable** (identical per-`k` accumulation order and
-//! multiplication grouping, pinned by the proptest parity suite):
-//!
-//! - [`mttkrp_row`] walks the master row-major factors,
-//! - [`mttkrp_row_interleaved`] walks a padded
-//!   [`FactorMirror`] plane (contiguous,
-//!   block-aligned rows; `f32` mirrors widen to `f64` per element and
-//!   recover the f32-rounded masters exactly).
-//!
-//! Both accumulate fiber entries in *pairs* (two entries fused per
-//! pass over `out`, halving the accumulator traffic) over explicit
-//! width-4 register blocks with a scalar tail, so the inner loops
-//! autovectorize on stable Rust.
+//! [`mttkrp_row`] walks one fiber over the row-major factor matrices.
+//! For 3-mode tensors it accumulates fiber entries in *pairs* (two
+//! entries fused per pass over `out`, halving the accumulator traffic)
+//! over explicit width-4 register blocks with a scalar tail, so the
+//! inner loops autovectorize on stable Rust.
 //!
 //! # Rank invariants
 //!
@@ -34,7 +25,6 @@
 //! them once at construction.
 
 use crate::kruskal::KruskalTensor;
-use crate::mirror::FactorMirror;
 use sns_error::SnsError;
 use sns_linalg::Mat;
 use sns_tensor::{Coord, SparseTensor};
@@ -70,42 +60,11 @@ fn other_two(skip: usize) -> (usize, usize) {
     }
 }
 
-/// Element type a mirror plane stores. Widening to `f64` is exact for
-/// both widths, so accumulation is always full-precision `f64`.
-pub trait MirrorElem: Copy {
-    /// Widens to `f64` (exact).
-    fn widen(self) -> f64;
-}
-
-impl MirrorElem for f64 {
-    #[inline(always)]
-    fn widen(self) -> f64 {
-        self
-    }
-}
-
-impl MirrorElem for f32 {
-    #[inline(always)]
-    fn widen(self) -> f64 {
-        self as f64
-    }
-}
-
 /// `out[k] += v0·(a0[k]·b0[k]) + v1·(a1[k]·b1[k])` over explicit
-/// width-4 blocks plus a scalar tail. The per-`k` expression is the
-/// single source of truth for the fused two-entry accumulation: every
-/// kernel variant (row-major, interleaved, f32) funnels
-/// through here, which is what makes them bitwise interchangeable.
+/// width-4 blocks plus a scalar tail — the fused two-entry
+/// accumulation of the fiber walk.
 #[inline]
-fn accum_pair<T: MirrorElem>(
-    out: &mut [f64],
-    v0: f64,
-    a0: &[T],
-    b0: &[T],
-    v1: f64,
-    a1: &[T],
-    b1: &[T],
-) {
+fn accum_pair(out: &mut [f64], v0: f64, a0: &[f64], b0: &[f64], v1: f64, a1: &[f64], b1: &[f64]) {
     let n = out.len();
     debug_assert!(a0.len() == n && b0.len() == n && a1.len() == n && b1.len() == n);
     let mut o = out.chunks_exact_mut(4);
@@ -116,10 +75,10 @@ fn accum_pair<T: MirrorElem>(
     for ((((o, x0), y0), x1), y1) in
         (&mut o).zip(&mut a0c).zip(&mut b0c).zip(&mut a1c).zip(&mut b1c)
     {
-        o[0] += v0 * (x0[0].widen() * y0[0].widen()) + v1 * (x1[0].widen() * y1[0].widen());
-        o[1] += v0 * (x0[1].widen() * y0[1].widen()) + v1 * (x1[1].widen() * y1[1].widen());
-        o[2] += v0 * (x0[2].widen() * y0[2].widen()) + v1 * (x1[2].widen() * y1[2].widen());
-        o[3] += v0 * (x0[3].widen() * y0[3].widen()) + v1 * (x1[3].widen() * y1[3].widen());
+        o[0] += v0 * (x0[0] * y0[0]) + v1 * (x1[0] * y1[0]);
+        o[1] += v0 * (x0[1] * y0[1]) + v1 * (x1[1] * y1[1]);
+        o[2] += v0 * (x0[2] * y0[2]) + v1 * (x1[2] * y1[2]);
+        o[3] += v0 * (x0[3] * y0[3]) + v1 * (x1[3] * y1[3]);
     }
     for ((((o, x0), y0), x1), y1) in o
         .into_remainder()
@@ -129,41 +88,39 @@ fn accum_pair<T: MirrorElem>(
         .zip(a1c.remainder())
         .zip(b1c.remainder())
     {
-        *o += v0 * (x0.widen() * y0.widen()) + v1 * (x1.widen() * y1.widen());
+        *o += v0 * (x0 * y0) + v1 * (x1 * y1);
     }
 }
 
 /// `out[k] += v·(a[k]·b[k])` — the odd-entry tail of the pair-blocked
 /// fiber walk, same blocking and grouping as [`accum_pair`].
 #[inline]
-fn accum_single<T: MirrorElem>(out: &mut [f64], v: f64, a: &[T], b: &[T]) {
+fn accum_single(out: &mut [f64], v: f64, a: &[f64], b: &[f64]) {
     let n = out.len();
     debug_assert!(a.len() == n && b.len() == n);
     let mut o = out.chunks_exact_mut(4);
     let mut ac = a.chunks_exact(4);
     let mut bc = b.chunks_exact(4);
     for ((o, x), y) in (&mut o).zip(&mut ac).zip(&mut bc) {
-        o[0] += v * (x[0].widen() * y[0].widen());
-        o[1] += v * (x[1].widen() * y[1].widen());
-        o[2] += v * (x[2].widen() * y[2].widen());
-        o[3] += v * (x[3].widen() * y[3].widen());
+        o[0] += v * (x[0] * y[0]);
+        o[1] += v * (x[1] * y[1]);
+        o[2] += v * (x[2] * y[2]);
+        o[3] += v * (x[3] * y[3]);
     }
     for ((o, x), y) in o.into_remainder().iter_mut().zip(ac.remainder()).zip(bc.remainder()) {
-        *o += v * (x.widen() * y.widen());
+        *o += v * (x * y);
     }
 }
 
-/// Pair-blocked fiber walk over two mirror planes — the core of
-/// [`mttkrp_row_interleaved`], generic over the plane element width.
-#[allow(clippy::too_many_arguments)]
-fn fiber_accum_planes<T: MirrorElem>(
+/// Pair-blocked fiber walk over two row-major factor planes whose row
+/// stride is the rank `out.len()` (the 3-mode path of [`mttkrp_row`]).
+fn fiber_accum_planes(
     coords: &[Coord],
     values: &[f64],
-    pa: &[T],
-    pb: &[T],
+    pa: &[f64],
+    pb: &[f64],
     ma: usize,
     mb: usize,
-    stride: usize,
     out: &mut [f64],
 ) {
     let w = out.len();
@@ -171,10 +128,10 @@ fn fiber_accum_planes<T: MirrorElem>(
     let mut i = 0;
     while i + 2 <= n {
         let (c0, c1) = (&coords[i], &coords[i + 1]);
-        let a0 = c0.get(ma) as usize * stride;
-        let b0 = c0.get(mb) as usize * stride;
-        let a1 = c1.get(ma) as usize * stride;
-        let b1 = c1.get(mb) as usize * stride;
+        let a0 = c0.get(ma) as usize * w;
+        let b0 = c0.get(mb) as usize * w;
+        let a1 = c1.get(ma) as usize * w;
+        let b1 = c1.get(mb) as usize * w;
         accum_pair(
             out,
             values[i],
@@ -188,8 +145,8 @@ fn fiber_accum_planes<T: MirrorElem>(
     }
     if i < n {
         let c = &coords[i];
-        let a = c.get(ma) as usize * stride;
-        let b = c.get(mb) as usize * stride;
+        let a = c.get(ma) as usize * w;
+        let b = c.get(mb) as usize * w;
         accum_single(out, values[i], &pa[a..a + w], &pb[b..b + w]);
     }
 }
@@ -284,92 +241,13 @@ pub fn mttkrp_row(
     }
     if factors.len() == 3 {
         let (ma, mb) = other_two(mode);
-        let (fa, fb) = (&factors[ma], &factors[mb]);
-        let r = out.len();
-        let n = coords.len();
-        let mut i = 0;
-        while i + 2 <= n {
-            let (c0, c1) = (&coords[i], &coords[i + 1]);
-            accum_pair(
-                out,
-                values[i],
-                &fa.row(c0.get(ma) as usize)[..r],
-                &fb.row(c0.get(mb) as usize)[..r],
-                values[i + 1],
-                &fa.row(c1.get(ma) as usize)[..r],
-                &fb.row(c1.get(mb) as usize)[..r],
-            );
-            i += 2;
-        }
-        if i < n {
-            let c = &coords[i];
-            accum_single(
-                out,
-                values[i],
-                &fa.row(c.get(ma) as usize)[..r],
-                &fb.row(c.get(mb) as usize)[..r],
-            );
-        }
+        let (pa, pb) = (factors[ma].as_slice(), factors[mb].as_slice());
+        fiber_accum_planes(coords, values, pa, pb, ma, mb, out);
     } else {
         for (coord, &value) in coords.iter().zip(values) {
             khatri_rao_row(factors, coord, mode, scratch);
             out.iter_mut().zip(scratch.iter()).for_each(|(o, &p)| *o += value * p);
         }
-    }
-    Ok(())
-}
-
-/// Row MTTKRP over one fiber reading a [`FactorMirror`] instead of the
-/// master factors — contiguous, block-aligned (optionally `f32`) rows.
-/// Bitwise-identical to [`mttkrp_row`] for an `f64` mirror, and to the
-/// master-factor walk for an `f32` mirror of f32-rounded masters
-/// (widening is exact; accumulation is `f64` either way).
-///
-/// Three-mode tensors only — the callers'
-/// [`FactorState`](crate::update::FactorState) dispatch falls back to
-/// [`mttkrp_row`] for other orders.
-///
-/// # Errors
-/// [`SnsError::KernelShape`] when `out` does not match the mirror's
-/// rank or the tensor is not 3-mode.
-pub fn mttkrp_row_interleaved(
-    x: &SparseTensor,
-    mirror: &FactorMirror,
-    mode: usize,
-    index: u32,
-    out: &mut [f64],
-) -> Result<(), SnsError> {
-    if out.len() != mirror.rank() {
-        return Err(SnsError::KernelShape {
-            what: "mttkrp_row_interleaved(out)",
-            expected: mirror.rank(),
-            got: out.len(),
-        });
-    }
-    if x.order() != 3 {
-        return Err(SnsError::KernelShape {
-            what: "mttkrp_row_interleaved(order)",
-            expected: 3,
-            got: x.order(),
-        });
-    }
-    out.iter_mut().for_each(|v| *v = 0.0);
-    let (coords, values) = x.fiber_slices(mode, index);
-    if coords.is_empty() {
-        return Ok(());
-    }
-    let (ma, mb) = other_two(mode);
-    let stride = mirror.stride();
-    match (mirror.f64_plane(ma), mirror.f32_plane(ma)) {
-        (Some(pa), _) => {
-            let pb = mirror.f64_plane(mb).expect("planes share precision");
-            fiber_accum_planes(coords, values, pa, pb, ma, mb, stride, out);
-        }
-        (_, Some(pa)) => {
-            let pb = mirror.f32_plane(mb).expect("planes share precision");
-            fiber_accum_planes(coords, values, pa, pb, ma, mb, stride, out);
-        }
-        _ => unreachable!("a mirror plane is either f64 or f32"),
     }
     Ok(())
 }
@@ -524,7 +402,6 @@ pub fn inner_with_kruskal(x: &SparseTensor, k: &KruskalTensor) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Precision;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use sns_tensor::{DenseTensor, Shape};
@@ -643,27 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_matches_row_major_bitwise() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let dims = [6usize, 5, 7];
-        let x = random_sparse(&mut rng, &dims, 60);
-        let f = random_factors(&mut rng, &dims, 5);
-        let mirror = FactorMirror::new(&f, Precision::F64);
-        let mut a = vec![0.0; 5];
-        let mut b = vec![0.0; 5];
-        let mut scratch = vec![0.0; 5];
-        for (mode, &dim) in dims.iter().enumerate() {
-            for i in 0..dim as u32 {
-                mttkrp_row(&x, &f, mode, i, &mut a, &mut scratch).unwrap();
-                mttkrp_row_interleaved(&x, &mirror, mode, i, &mut b).unwrap();
-                for k in 0..5 {
-                    assert_eq!(a[k].to_bits(), b[k].to_bits(), "mode {mode} row {i} k {k}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn kernel_shape_errors_are_typed_not_panics() {
         let mut rng = StdRng::seed_from_u64(15);
         let dims = [4usize, 3, 5];
@@ -678,11 +534,6 @@ mod tests {
         assert!(matches!(
             mttkrp_row(&x, &f, 0, 0, &mut ok, &mut short),
             Err(SnsError::KernelShape { what: "mttkrp_row(scratch)", .. })
-        ));
-        let mirror = FactorMirror::new(&f, Precision::F64);
-        assert!(matches!(
-            mttkrp_row_interleaved(&x, &mirror, 0, 0, &mut short),
-            Err(SnsError::KernelShape { .. })
         ));
         let entries: Vec<(Coord, f64)> = vec![];
         assert!(mttkrp_row_from_entries(&entries, &f, 0, &mut short, &mut ok).is_err());
@@ -759,10 +610,10 @@ mod tests {
         let f = random_factors(&mut rng, &dims, 2);
         let u = mttkrp_full(&x, &f, 0);
         assert_eq!(u.frob_norm(), 0.0);
-        // Empty fibers also zero the row kernels.
-        let mirror = FactorMirror::new(&f, Precision::F64);
+        // Empty fibers also zero the row kernel.
         let mut out = vec![9.0; 2];
-        mttkrp_row_interleaved(&x, &mirror, 0, 1, &mut out).unwrap();
+        let mut scratch = vec![0.0; 2];
+        mttkrp_row(&x, &f, 0, 1, &mut out, &mut scratch).unwrap();
         assert_eq!(out, vec![0.0; 2]);
     }
 }

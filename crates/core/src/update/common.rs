@@ -1,10 +1,8 @@
 //! Shared state and row-update kernels for the fast updaters.
 
-use crate::config::Precision;
 use crate::grams::{compute_grams, gram_row_update};
 use crate::kruskal::KruskalTensor;
-use crate::mirror::{round_row_f32, FactorMirror};
-use crate::mttkrp::{khatri_rao_row, mttkrp_row, mttkrp_row_interleaved};
+use crate::mttkrp::{khatri_rao_row, mttkrp_row};
 use crate::workspace::KernelWorkspace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -12,18 +10,12 @@ use sns_linalg::Mat;
 use sns_stream::Delta;
 use sns_tensor::{Coord, SparseTensor};
 
-/// Factor matrices plus their maintained Gram matrices and the
-/// kernel-facing interleaved mirror.
+/// Factor matrices plus their maintained Gram matrices.
 ///
 /// Every Gram carries a version counter that is bumped exactly when the
 /// matrix changes; the [`KernelWorkspace`] keys its cached
 /// Hadamard-of-Grams factorizations on those counters, so solves
 /// refactorize only when the underlying Grams actually changed.
-///
-/// The mirror ([`FactorMirror`]) is derived state kept in lock-step by
-/// the commit paths; under [`Precision::F32`] the *master* rows are
-/// themselves rounded through `f32` on every commit, so masters and
-/// mirror always agree exactly (see the mirror module docs).
 #[derive(Debug, Clone)]
 pub struct FactorState {
     /// The factorization (`λ = 1` for all fast updaters).
@@ -33,31 +25,17 @@ pub struct FactorState {
     /// Per-mode change counters for `grams` (monotone; row edits that
     /// leave the row bitwise unchanged do not bump).
     versions: Vec<u64>,
-    /// Interleaved padded factor copy the fiber kernels read.
-    mirror: FactorMirror,
 }
 
 impl FactorState {
     /// Random non-negative initialization (the paper then overwrites this
     /// with batch ALS on the initial window).
-    pub fn random(
-        dims: &[usize],
-        rank: usize,
-        scale: f64,
-        seed: u64,
-        precision: Precision,
-    ) -> Self {
+    pub fn random(dims: &[usize], rank: usize, scale: f64, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut kruskal = KruskalTensor::random(&mut rng, dims, rank, scale);
-        if precision == Precision::F32 {
-            for f in &mut kruskal.factors {
-                round_row_f32(f.as_mut_slice());
-            }
-        }
+        let kruskal = KruskalTensor::random(&mut rng, dims, rank, scale);
         let grams = compute_grams(&kruskal.factors);
         let versions = vec![1; kruskal.order()];
-        let mirror = FactorMirror::new(&kruskal.factors, precision);
-        FactorState { kruskal, grams, versions, mirror }
+        FactorState { kruskal, grams, versions }
     }
 
     /// Rebuilds a factor state from captured factors and Grams (state
@@ -65,37 +43,12 @@ impl FactorState {
     /// keys for a [`KernelWorkspace`], which a restored engine gets
     /// fresh, so their absolute values are unobservable.
     ///
-    /// Under [`Precision::F32`] the factors are rounded through `f32`
-    /// (idempotent — snapshots of an f32 engine are already rounded, so
-    /// restores stay bitwise) and the Grams recomputed only if rounding
-    /// changed anything.
-    ///
     /// # Errors
     /// Returns a description of the first shape inconsistency.
-    pub fn from_parts(
-        mut kruskal: KruskalTensor,
-        mut grams: Vec<Mat>,
-        precision: Precision,
-    ) -> Result<Self, String> {
+    pub fn from_parts(kruskal: KruskalTensor, grams: Vec<Mat>) -> Result<Self, String> {
         kruskal.check_gram_shapes(&grams, true)?;
-        if precision == Precision::F32 {
-            let mut changed = false;
-            for f in &mut kruskal.factors {
-                for v in f.as_mut_slice() {
-                    let r = *v as f32 as f64;
-                    if r.to_bits() != v.to_bits() {
-                        *v = r;
-                        changed = true;
-                    }
-                }
-            }
-            if changed {
-                grams = compute_grams(&kruskal.factors);
-            }
-        }
         let versions = vec![1; kruskal.order()];
-        let mirror = FactorMirror::new(&kruskal.factors, precision);
-        Ok(FactorState { kruskal, grams, versions, mirror })
+        Ok(FactorState { kruskal, grams, versions })
     }
 
     /// Number of modes.
@@ -123,120 +76,52 @@ impl FactorState {
         &self.versions
     }
 
-    /// The factor-storage precision this state runs at.
-    #[inline]
-    pub fn precision(&self) -> Precision {
-        self.mirror.precision()
-    }
-
-    /// The kernel-facing interleaved factor mirror.
-    #[inline]
-    pub fn mirror(&self) -> &FactorMirror {
-        &self.mirror
-    }
-
     /// Replaces the factorization (warm start).
     ///
     /// The fast updaters model `X̃ = [[A(1),…,A(M)]]` with unit weights, so
     /// a weighted factorization (e.g. fresh from ALS, whose columns are
     /// normalized with scales in `λ`) is converted by distributing `λ`
-    /// into the factors and recomputing the Gram matrices. Under
-    /// [`Precision::F32`] the installed factors are rounded through `f32`
-    /// first (ALS runs in `f64`), then the Grams are recomputed from the
-    /// rounded factors.
+    /// into the factors and recomputing the Gram matrices.
     pub fn install(&mut self, mut kruskal: KruskalTensor, grams: Vec<Mat>) {
         debug_assert_eq!(kruskal.order(), grams.len());
-        let f32_profile = self.mirror.precision() == Precision::F32;
         if kruskal.lambda.iter().any(|&l| l != 1.0) {
             kruskal.distribute_lambda();
-            if f32_profile {
-                for f in &mut kruskal.factors {
-                    round_row_f32(f.as_mut_slice());
-                }
-            }
-            self.grams = compute_grams(&kruskal.factors);
-        } else if f32_profile {
-            for f in &mut kruskal.factors {
-                round_row_f32(f.as_mut_slice());
-            }
             self.grams = compute_grams(&kruskal.factors);
         } else {
             self.grams = grams;
         }
         self.kruskal = kruskal;
-        self.mirror.resync(&self.kruskal.factors);
         for v in &mut self.versions {
             *v += 1;
         }
     }
 
-    /// Writes `new` into `A(mode)(index,:)` (rounding it through `f32`
-    /// first under [`Precision::F32`]), saving the previous row into
-    /// `old` and applying the Eq. (13) Gram update plus the mirror sync.
-    /// Returns whether the row actually changed; a bitwise-identical row
-    /// skips the Gram update, mirror sync, and version bump entirely
-    /// (the update would add exact zeros), which is what keeps
-    /// downstream `H(m)` caches warm across no-op commits.
+    /// Writes `new` into `A(mode)(index,:)`, saving the previous row into
+    /// `old` and applying the Eq. (13) Gram update. Returns whether the
+    /// row actually changed; a bitwise-identical row skips the Gram
+    /// update and version bump entirely (the update would add exact
+    /// zeros), which is what keeps downstream `H(m)` caches warm across
+    /// no-op commits.
     pub fn commit_row(&mut self, mode: usize, index: u32, new: &[f64], old: &mut [f64]) -> bool {
         let i = index as usize;
         old.copy_from_slice(self.kruskal.factors[mode].row(i));
-        let f32_profile = self.mirror.precision() == Precision::F32;
         self.kruskal.factors[mode].set_row(i, new);
-        let row = self.kruskal.factors[mode].row_mut(i);
-        if f32_profile {
-            round_row_f32(row);
-        }
-        if row[..] == old[..] {
-            return false;
-        }
-        gram_row_update(&mut self.grams[mode], old, row);
-        self.mirror.sync_row(mode, i, row);
-        self.versions[mode] += 1;
-        true
+        self.note_row_changed(mode, index, old)
     }
 
     /// Records a row edit that was already written into the factor matrix
-    /// (coordinate descent mutates rows in place): rounds the live row
-    /// through `f32` under [`Precision::F32`], then applies the Eq. (13)
-    /// Gram update, mirror sync, and version bump unless the row ends up
-    /// unchanged bitwise. `old` is the caller's copy of the row as it was
-    /// before the in-place edit.
+    /// (coordinate descent mutates rows in place): applies the Eq. (13)
+    /// Gram update and version bump unless the row is unchanged bitwise.
+    /// `old` is the caller's copy of the row as it was before the
+    /// in-place edit.
     pub fn note_row_changed(&mut self, mode: usize, index: u32, old: &[f64]) -> bool {
-        let i = index as usize;
-        let f32_profile = self.mirror.precision() == Precision::F32;
-        let row = self.kruskal.factors[mode].row_mut(i);
-        if f32_profile {
-            round_row_f32(row);
-        }
-        if &row[..] == old {
+        let row = self.kruskal.factors[mode].row(index as usize);
+        if row == old {
             return false;
         }
         gram_row_update(&mut self.grams[mode], old, row);
-        self.mirror.sync_row(mode, i, row);
         self.versions[mode] += 1;
         true
-    }
-
-    /// Row MTTKRP through the fastest applicable kernel: the
-    /// interleaved-mirror kernel for 3-mode tensors and the row-major
-    /// master walk for other orders. Both routes are bitwise-identical
-    /// for the same state (mirror rows recover the masters exactly at
-    /// either precision), so this dispatch is purely a bandwidth choice.
-    pub fn mttkrp_row_ws(
-        &self,
-        window: &SparseTensor,
-        mode: usize,
-        index: u32,
-        out: &mut [f64],
-        scratch: &mut [f64],
-    ) {
-        if self.order() == 3 {
-            mttkrp_row_interleaved(window, &self.mirror, mode, index, out)
-                .expect("workspace-sized buffers");
-        } else {
-            mttkrp_row(window, &self.kruskal.factors, mode, index, out, scratch)
-                .expect("workspace-sized buffers");
-        }
     }
 }
 
@@ -269,7 +154,8 @@ pub fn update_row_exact(
     ws: &mut KernelWorkspace,
 ) {
     // u = (X+ΔX)(m)(i,:)·K(m)
-    state.mttkrp_row_ws(window, mode, index, &mut ws.bufs.acc, &mut ws.bufs.prod);
+    mttkrp_row(window, &state.kruskal.factors, mode, index, &mut ws.bufs.acc, &mut ws.bufs.prod)
+        .expect("workspace-sized buffers");
     // Row solve against H(m) (cached Cholesky, pinv fallback).
     ws.solves.solve(&state.grams, &state.versions, mode, &ws.bufs.acc, &mut ws.bufs.row);
     state.commit_row(mode, index, &ws.bufs.row, &mut ws.bufs.old);
@@ -354,7 +240,7 @@ mod tests {
 
     #[test]
     fn factor_state_construction() {
-        let s = FactorState::random(&[4, 3, 5], 3, 1.0, 7, Precision::F64);
+        let s = FactorState::random(&[4, 3, 5], 3, 1.0, 7);
         assert_eq!(s.order(), 3);
         assert_eq!(s.rank(), 3);
         assert_eq!(s.time_mode(), 2);
@@ -366,7 +252,7 @@ mod tests {
 
     #[test]
     fn commit_row_tracks_versions_and_skips_noops() {
-        let mut s = FactorState::random(&[4, 3, 5], 3, 1.0, 8, Precision::F64);
+        let mut s = FactorState::random(&[4, 3, 5], 3, 1.0, 8);
         let v0 = s.gram_versions().to_vec();
         let mut old = vec![0.0; 3];
         let new = vec![0.25, -1.0, 2.0];
@@ -384,7 +270,7 @@ mod tests {
 
     #[test]
     fn install_bumps_every_version() {
-        let mut s = FactorState::random(&[4, 3, 5], 3, 1.0, 9, Precision::F64);
+        let mut s = FactorState::random(&[4, 3, 5], 3, 1.0, 9);
         let v0 = s.gram_versions().to_vec();
         let k = KruskalTensor::random(&mut StdRng::seed_from_u64(1), &[4, 3, 5], 3, 1.0);
         let g = compute_grams(&k.factors);
@@ -400,7 +286,7 @@ mod tests {
         // perturbing any entry must not reduce the full objective restricted
         // to that row's fiber... equivalently u = row · H must hold.
         let x = random_window(1, 30);
-        let mut s = FactorState::random(&[4, 3, 5], 3, 1.0, 2, Precision::F64);
+        let mut s = FactorState::random(&[4, 3, 5], 3, 1.0, 2);
         let mut ws = KernelWorkspace::new(3, 3);
         update_row_exact(&mut s, &x, 0, 2, &mut ws);
         // Check stationarity: (X)(0)(2,:)·K = row·H at the new row.
@@ -425,7 +311,7 @@ mod tests {
         // Row LS: the objective restricted to other variables fixed cannot
         // increase, hence fitness cannot decrease.
         let x = random_window(3, 40);
-        let mut s = FactorState::random(&[4, 3, 5], 3, 0.5, 4, Precision::F64);
+        let mut s = FactorState::random(&[4, 3, 5], 3, 0.5, 4);
         let mut ws = KernelWorkspace::new(3, 3);
         for mode in 0..2 {
             for i in 0..x.shape().dim(mode) as u32 {
@@ -443,7 +329,7 @@ mod tests {
         // through a fresh workspace per call must agree bit for bit —
         // cached H(m)/Cholesky reuse may only skip redundant work.
         let x = random_window(11, 35);
-        let mut a = FactorState::random(&[4, 3, 5], 3, 0.6, 12, Precision::F64);
+        let mut a = FactorState::random(&[4, 3, 5], 3, 0.6, 12);
         let mut b = a.clone();
         let mut shared = KernelWorkspace::new(3, 3);
         for step in 0..12u32 {
@@ -462,7 +348,7 @@ mod tests {
     #[test]
     fn empty_fiber_zeroes_the_row() {
         let x = random_window(5, 1); // at most one non-zero
-        let mut s = FactorState::random(&[4, 3, 5], 3, 1.0, 6, Precision::F64);
+        let mut s = FactorState::random(&[4, 3, 5], 3, 1.0, 6);
         let mut ws = KernelWorkspace::new(3, 3);
         // Find a row with an empty fiber.
         let empty = (0..4u32).find(|&i| x.deg(0, i) == 0).expect("an empty fiber exists");
@@ -506,7 +392,7 @@ mod tests {
             let tu = StreamTuple::new([rng.gen_range(0..4u32), rng.gen_range(0..3u32)], 1.0, t);
             w.ingest(tu, &mut out).unwrap();
         }
-        let mut s = FactorState::random(&[4, 3, 5], 3, 0.5, 9, Precision::F64);
+        let mut s = FactorState::random(&[4, 3, 5], 3, 0.5, 9);
         let before = s.kruskal.factors[2].clone();
         out.clear();
         w.ingest(StreamTuple::new([2u32, 1], 4.0, 31), &mut out).unwrap();

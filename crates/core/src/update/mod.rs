@@ -27,7 +27,7 @@ pub use snsplus::{SnsPlusRnd, SnsPlusVec};
 pub use snsrnd::SnsRnd;
 pub use snsvec::SnsVec;
 
-use crate::config::{AlgorithmKind, Precision};
+use crate::config::AlgorithmKind;
 use crate::kruskal::KruskalTensor;
 use sns_linalg::Mat;
 use sns_stream::Delta;
@@ -111,8 +111,6 @@ pub enum UpdaterState {
         factors: KruskalTensor,
         /// Maintained Gram matrices.
         grams: Vec<Mat>,
-        /// Factor-storage precision profile.
-        precision: Precision,
         /// Whether the updater froze after numerical runaway.
         diverged: bool,
     },
@@ -122,8 +120,6 @@ pub enum UpdaterState {
         factors: KruskalTensor,
         /// Maintained Gram matrices.
         grams: Vec<Mat>,
-        /// Factor-storage precision profile.
-        precision: Precision,
         /// Sampling threshold `θ`.
         theta: usize,
         /// Sampling RNG state, mid-stream.
@@ -137,8 +133,6 @@ pub enum UpdaterState {
         factors: KruskalTensor,
         /// Maintained Gram matrices.
         grams: Vec<Mat>,
-        /// Factor-storage precision profile.
-        precision: Precision,
         /// Clipping bound `η`.
         eta: f64,
     },
@@ -148,8 +142,6 @@ pub enum UpdaterState {
         factors: KruskalTensor,
         /// Maintained Gram matrices.
         grams: Vec<Mat>,
-        /// Factor-storage precision profile.
-        precision: Precision,
         /// Sampling threshold `θ`.
         theta: usize,
         /// Clipping bound `η`.
@@ -168,18 +160,6 @@ impl UpdaterState {
             UpdaterState::Rnd { .. } => AlgorithmKind::Rnd,
             UpdaterState::PlusVec { .. } => AlgorithmKind::PlusVec,
             UpdaterState::PlusRnd { .. } => AlgorithmKind::PlusRnd,
-        }
-    }
-
-    /// The captured factor-storage precision (`SNS_MAT` has no
-    /// fast-updater state and always runs `f64`).
-    pub fn precision(&self) -> Precision {
-        match self {
-            UpdaterState::Mat { .. } => Precision::F64,
-            UpdaterState::Vec { precision, .. }
-            | UpdaterState::Rnd { precision, .. }
-            | UpdaterState::PlusVec { precision, .. }
-            | UpdaterState::PlusRnd { precision, .. } => *precision,
         }
     }
 
@@ -229,19 +209,17 @@ impl Updater {
             UpdaterState::Mat { factors, grams } => {
                 Updater::Mat(SnsMat::from_state(factors, grams)?)
             }
-            UpdaterState::Vec { factors, grams, precision, diverged } => {
-                Updater::Vec(SnsVec::from_state(factors, grams, precision, diverged)?)
+            UpdaterState::Vec { factors, grams, diverged } => {
+                Updater::Vec(SnsVec::from_state(factors, grams, diverged)?)
             }
-            UpdaterState::Rnd { factors, grams, precision, theta, rng, diverged } => {
-                Updater::Rnd(SnsRnd::from_state(factors, grams, precision, theta, rng, diverged)?)
+            UpdaterState::Rnd { factors, grams, theta, rng, diverged } => {
+                Updater::Rnd(SnsRnd::from_state(factors, grams, theta, rng, diverged)?)
             }
-            UpdaterState::PlusVec { factors, grams, precision, eta } => {
-                Updater::PlusVec(SnsPlusVec::from_state(factors, grams, precision, eta)?)
+            UpdaterState::PlusVec { factors, grams, eta } => {
+                Updater::PlusVec(SnsPlusVec::from_state(factors, grams, eta)?)
             }
-            UpdaterState::PlusRnd { factors, grams, precision, theta, eta, rng } => {
-                Updater::PlusRnd(SnsPlusRnd::from_state(
-                    factors, grams, precision, theta, eta, rng,
-                )?)
+            UpdaterState::PlusRnd { factors, grams, theta, eta, rng } => {
+                Updater::PlusRnd(SnsPlusRnd::from_state(factors, grams, theta, eta, rng)?)
             }
         })
     }

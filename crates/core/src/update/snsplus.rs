@@ -20,10 +20,10 @@
 //! applied as the equivalent end-of-row rank-1 forms (the per-coordinate
 //! entrywise updates telescope to exactly these — see `grams.rs`).
 
-use crate::config::{AlgorithmKind, Precision, SnsConfig};
+use crate::config::{AlgorithmKind, SnsConfig};
 use crate::grams::prev_gram_row_update;
 use crate::kruskal::KruskalTensor;
-use crate::mttkrp::mttkrp_row_sampled_residuals;
+use crate::mttkrp::{mttkrp_row, mttkrp_row_sampled_residuals};
 use crate::update::common::{delta_entries_for_row, FactorState};
 use crate::update::ContinuousUpdater;
 use crate::workspace::KernelWorkspace;
@@ -80,13 +80,7 @@ impl SnsPlusVec {
     /// Creates an SNS⁺_VEC updater with random initial factors.
     pub fn new(dims: &[usize], config: &SnsConfig) -> Self {
         SnsPlusVec {
-            state: FactorState::random(
-                dims,
-                config.rank,
-                config.init_scale,
-                config.seed,
-                config.precision,
-            ),
+            state: FactorState::random(dims, config.rank, config.init_scale, config.seed),
             eta: config.eta,
             ws: KernelWorkspace::new(dims.len(), config.rank),
         }
@@ -102,7 +96,6 @@ impl SnsPlusVec {
         crate::update::UpdaterState::PlusVec {
             factors: self.state.kruskal.clone(),
             grams: self.state.grams.clone(),
-            precision: self.state.precision(),
             eta: self.eta,
         }
     }
@@ -111,12 +104,11 @@ impl SnsPlusVec {
     pub(crate) fn from_state(
         factors: KruskalTensor,
         grams: Vec<Mat>,
-        precision: Precision,
         eta: f64,
     ) -> Result<Self, String> {
         let order = factors.order();
         let rank = factors.rank();
-        let state = FactorState::from_parts(factors, grams, precision)?;
+        let state = FactorState::from_parts(factors, grams)?;
         Ok(SnsPlusVec { state, eta, ws: KernelWorkspace::new(order, rank) })
     }
 
@@ -146,13 +138,15 @@ impl SnsPlusVec {
             }
         } else {
             // Eq. (21): exact fiber sum over X+ΔX (already in `window`).
-            self.state.mttkrp_row_ws(
+            mttkrp_row(
                 window,
+                &self.state.kruskal.factors,
                 mode,
                 index,
                 &mut self.ws.bufs.acc,
                 &mut self.ws.bufs.prod,
-            );
+            )
+            .expect("workspace-sized buffers");
         }
         descend_row(&mut self.state.kruskal.factors[mode], index, g, &self.ws.bufs.acc, self.eta);
         self.state.note_row_changed(mode, index, &self.ws.bufs.old);
@@ -203,13 +197,7 @@ pub struct SnsPlusRnd {
 impl SnsPlusRnd {
     /// Creates an SNS⁺_RND updater with random initial factors.
     pub fn new(dims: &[usize], config: &SnsConfig) -> Self {
-        let state = FactorState::random(
-            dims,
-            config.rank,
-            config.init_scale,
-            config.seed,
-            config.precision,
-        );
+        let state = FactorState::random(dims, config.rank, config.init_scale, config.seed);
         let prev_grams = state.grams.clone();
         SnsPlusRnd {
             prev_grams,
@@ -240,7 +228,6 @@ impl SnsPlusRnd {
         crate::update::UpdaterState::PlusRnd {
             factors: self.state.kruskal.clone(),
             grams: self.state.grams.clone(),
-            precision: self.state.precision(),
             theta: self.theta,
             eta: self.eta,
             rng: self.rng.state(),
@@ -251,14 +238,13 @@ impl SnsPlusRnd {
     pub(crate) fn from_state(
         factors: KruskalTensor,
         grams: Vec<Mat>,
-        precision: Precision,
         theta: usize,
         eta: f64,
         rng: [u64; 4],
     ) -> Result<Self, String> {
         let order = factors.order();
         let rank = factors.rank();
-        let state = FactorState::from_parts(factors, grams, precision)?;
+        let state = FactorState::from_parts(factors, grams)?;
         Ok(SnsPlusRnd {
             prev_grams: state.grams.clone(),
             prev_versions: vec![1; order],
@@ -275,13 +261,15 @@ impl SnsPlusRnd {
         self.ws.bufs.old.copy_from_slice(self.state.kruskal.factors[mode].row(index as usize));
         if deg <= self.theta {
             // Eq. (21): exact fiber sum.
-            self.state.mttkrp_row_ws(
+            mttkrp_row(
                 window,
+                &self.state.kruskal.factors,
                 mode,
                 index,
                 &mut self.ws.bufs.acc,
                 &mut self.ws.bufs.prod,
-            );
+            )
+            .expect("workspace-sized buffers");
         } else {
             // Eq. (23): e (model part via Ĝ) + sampled residuals + ΔX.
             let g_hat = self.ws.prev_solves.h(&self.prev_grams, &self.prev_versions, mode);
@@ -324,11 +312,9 @@ impl SnsPlusRnd {
         }
         let g = self.ws.solves.h(&self.state.grams, self.state.gram_versions(), mode);
         descend_row(&mut self.state.kruskal.factors[mode], index, g, &self.ws.bufs.acc, self.eta);
-        // note_row_changed may round the live row (f32 profile), so read
-        // the committed row back for the U(m) update.
         if self.state.note_row_changed(mode, index, &self.ws.bufs.old) {
-            self.ws.bufs.row.copy_from_slice(self.state.kruskal.factors[mode].row(index as usize));
-            prev_gram_row_update(&mut self.prev_grams[mode], &self.ws.bufs.old, &self.ws.bufs.row);
+            let row = self.state.kruskal.factors[mode].row(index as usize);
+            prev_gram_row_update(&mut self.prev_grams[mode], &self.ws.bufs.old, row);
             self.prev_versions[mode] += 1;
         }
     }

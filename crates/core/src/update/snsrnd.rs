@@ -20,10 +20,10 @@
 //! second-order discrepancy (the first-order staleness is exactly what
 //! the maintained `U(m)` matrices account for).
 
-use crate::config::{AlgorithmKind, Precision, SnsConfig};
+use crate::config::{AlgorithmKind, SnsConfig};
 use crate::grams::prev_gram_row_update;
 use crate::kruskal::KruskalTensor;
-use crate::mttkrp::{khatri_rao_row, mttkrp_row_sampled_residuals};
+use crate::mttkrp::{khatri_rao_row, mttkrp_row, mttkrp_row_sampled_residuals};
 use crate::update::common::{delta_entries_for_row, touched_rows_blew_up, FactorState};
 use crate::update::ContinuousUpdater;
 use crate::workspace::KernelWorkspace;
@@ -51,13 +51,7 @@ pub struct SnsRnd {
 impl SnsRnd {
     /// Creates an SNS_RND updater with random initial factors.
     pub fn new(dims: &[usize], config: &SnsConfig) -> Self {
-        let state = FactorState::random(
-            dims,
-            config.rank,
-            config.init_scale,
-            config.seed,
-            config.precision,
-        );
+        let state = FactorState::random(dims, config.rank, config.init_scale, config.seed);
         let prev_grams = state.grams.clone();
         SnsRnd {
             prev_grams,
@@ -83,7 +77,6 @@ impl SnsRnd {
         crate::update::UpdaterState::Rnd {
             factors: self.state.kruskal.clone(),
             grams: self.state.grams.clone(),
-            precision: self.state.precision(),
             theta: self.theta,
             rng: self.rng.state(),
             diverged: self.diverged,
@@ -94,14 +87,13 @@ impl SnsRnd {
     pub(crate) fn from_state(
         factors: KruskalTensor,
         grams: Vec<Mat>,
-        precision: Precision,
         theta: usize,
         rng: [u64; 4],
         diverged: bool,
     ) -> Result<Self, String> {
         let order = factors.order();
         let rank = factors.rank();
-        let state = FactorState::from_parts(factors, grams, precision)?;
+        let state = FactorState::from_parts(factors, grams)?;
         Ok(SnsRnd {
             prev_grams: state.grams.clone(),
             prev_versions: vec![1; order],
@@ -124,13 +116,15 @@ impl SnsRnd {
         }
         if deg <= self.theta {
             // Exact path: Eq. (12).
-            self.state.mttkrp_row_ws(
+            mttkrp_row(
                 window,
+                &self.state.kruskal.factors,
                 mode,
                 index,
                 &mut self.ws.bufs.acc,
                 &mut self.ws.bufs.prod,
-            );
+            )
+            .expect("workspace-sized buffers");
         } else {
             // Sampled path: Eq. (16).
             self.ws.bufs.exclude.clear();
@@ -175,11 +169,8 @@ impl SnsRnd {
             &self.ws.bufs.acc,
             &mut self.ws.bufs.row,
         );
-        // Commit + Eq. (13) + Eq. (17). The committed row can differ from
-        // `bufs.row` under the f32 profile (commit rounds), so re-read it
-        // for the U(m) update.
+        // Commit + Eq. (13) + Eq. (17).
         if self.state.commit_row(mode, index, &self.ws.bufs.row, &mut self.ws.bufs.old) {
-            self.ws.bufs.row.copy_from_slice(self.state.kruskal.factors[mode].row(index as usize));
             prev_gram_row_update(&mut self.prev_grams[mode], &self.ws.bufs.old, &self.ws.bufs.row);
             self.prev_versions[mode] += 1;
         }

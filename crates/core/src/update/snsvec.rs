@@ -8,7 +8,7 @@
 //! (Theorem 4). No normalization and no clipping — fast, but can diverge
 //! (Observation 3).
 
-use crate::config::{AlgorithmKind, Precision, SnsConfig};
+use crate::config::{AlgorithmKind, SnsConfig};
 use crate::kruskal::KruskalTensor;
 use crate::update::common::{
     touched_rows_blew_up, update_row_exact, update_time_row_additive, FactorState,
@@ -30,13 +30,7 @@ pub struct SnsVec {
 impl SnsVec {
     /// Creates an SNS_VEC updater with random initial factors.
     pub fn new(dims: &[usize], config: &SnsConfig) -> Self {
-        let state = FactorState::random(
-            dims,
-            config.rank,
-            config.init_scale,
-            config.seed,
-            config.precision,
-        );
+        let state = FactorState::random(dims, config.rank, config.init_scale, config.seed);
         let ws = KernelWorkspace::new(dims.len(), config.rank);
         SnsVec { state, ws, diverged: false }
     }
@@ -46,7 +40,6 @@ impl SnsVec {
         crate::update::UpdaterState::Vec {
             factors: self.state.kruskal.clone(),
             grams: self.state.grams.clone(),
-            precision: self.state.precision(),
             diverged: self.diverged,
         }
     }
@@ -55,12 +48,11 @@ impl SnsVec {
     pub(crate) fn from_state(
         factors: KruskalTensor,
         grams: Vec<Mat>,
-        precision: Precision,
         diverged: bool,
     ) -> Result<Self, String> {
         let order = factors.order();
         let rank = factors.rank();
-        let state = FactorState::from_parts(factors, grams, precision)?;
+        let state = FactorState::from_parts(factors, grams)?;
         Ok(SnsVec { state, ws: KernelWorkspace::new(order, rank), diverged })
     }
 }

@@ -10,13 +10,10 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sns_core::config::Precision;
 use sns_core::grams::{compute_grams, gram_row_update, hadamard_except};
 use sns_core::kruskal::KruskalTensor;
-use sns_core::mirror::{round_row_f32, FactorMirror};
 use sns_core::mttkrp::{
-    khatri_rao_row, mttkrp_row, mttkrp_row_from_entries, mttkrp_row_interleaved,
-    mttkrp_row_sampled_residuals,
+    khatri_rao_row, mttkrp_row, mttkrp_row_from_entries, mttkrp_row_sampled_residuals,
 };
 use sns_core::update::common::update_row_exact;
 use sns_core::update::FactorState;
@@ -77,7 +74,7 @@ fn check_cached_gram_solves(dims: &[usize], rank: usize, seed: u64) -> Result<()
         let mut fresh = vec![0.0; rank];
         ws.solve(&grams, &versions, mode, &u, &mut cached);
         let h = hadamard_except(&grams, mode, rank);
-        solve_row_sym(&h, &u, &mut fresh);
+        solve_row_sym(&h, &u, &mut fresh).map_err(|e| e.to_string())?;
         for k in 0..rank {
             ensure(close(cached[k], fresh[k]), || {
                 format!("step {step} mode {mode} k {k}: {} vs {}", cached[k], fresh[k])
@@ -133,7 +130,7 @@ fn check_fused_residuals(dims: &[usize], rank: usize, seed: u64) -> Result<(), S
 fn check_workspace_reuse(dims: &[usize], rank: usize, seed: u64) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let x = random_sparse(&mut rng, dims, 30);
-    let mut shared_state = FactorState::random(dims, rank, 0.7, seed ^ 1, Precision::F64);
+    let mut shared_state = FactorState::random(dims, rank, 0.7, seed ^ 1);
     let mut fresh_state = shared_state.clone();
     let mut shared_ws = KernelWorkspace::new(dims.len(), rank);
     for step in 0..10 {
@@ -180,98 +177,6 @@ fn check_blocked_fiber_row(dims: &[usize], rank: usize, seed: u64) -> Result<(),
     Ok(())
 }
 
-/// The interleaved-mirror fiber kernel must match the row-major walk
-/// **bitwise**: both routes accumulate per-`k` in the identical order.
-fn check_interleaved_bitwise(dims: &[usize], rank: usize, seed: u64) -> Result<(), String> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let f = random_factors(&mut rng, dims, rank);
-    let x = random_sparse(&mut rng, dims, 30);
-    let mirror = FactorMirror::new(&f, Precision::F64);
-    let mode = rng.gen_range(0..dims.len());
-    let index = rng.gen_range(0..dims[mode]) as u32;
-    let mut row_major = vec![0.0; rank];
-    let mut scratch = vec![0.0; rank];
-    mttkrp_row(&x, &f, mode, index, &mut row_major, &mut scratch).map_err(|e| e.to_string())?;
-    let mut interleaved = vec![0.0; rank];
-    mttkrp_row_interleaved(&x, &mirror, mode, index, &mut interleaved)
-        .map_err(|e| e.to_string())?;
-    ensure(interleaved == row_major, || {
-        format!("interleaved diverged from row-major: {interleaved:?} vs {row_major:?}")
-    })
-}
-
-/// The `f32` speed profile's two contracts: (1) an `f32` mirror of
-/// f32-rounded masters reproduces the master-factor walk **bitwise**
-/// (widening is exact, accumulation is `f64` either way); (2) against
-/// unrounded `f64` factors the result stays within the documented
-/// f32-rounding tolerance.
-fn check_f32_mirror(dims: &[usize], rank: usize, seed: u64) -> Result<(), String> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let f64_factors = random_factors(&mut rng, dims, rank);
-    let x = random_sparse(&mut rng, dims, 30);
-    let mode = rng.gen_range(0..dims.len());
-    let index = rng.gen_range(0..dims[mode]) as u32;
-    let mut rounded = f64_factors.clone();
-    for m in &mut rounded {
-        for i in 0..m.rows() {
-            round_row_f32(m.row_mut(i));
-        }
-    }
-    let mirror = FactorMirror::new(&rounded, Precision::F32);
-    let mut scratch = vec![0.0; rank];
-    let mut masters = vec![0.0; rank];
-    mttkrp_row(&x, &rounded, mode, index, &mut masters, &mut scratch).map_err(|e| e.to_string())?;
-    let mut via_f32 = vec![0.0; rank];
-    mttkrp_row_interleaved(&x, &mirror, mode, index, &mut via_f32).map_err(|e| e.to_string())?;
-    ensure(via_f32 == masters, || {
-        format!("f32 mirror diverged from rounded masters: {via_f32:?} vs {masters:?}")
-    })?;
-    let mut full = vec![0.0; rank];
-    mttkrp_row(&x, &f64_factors, mode, index, &mut full, &mut scratch)
-        .map_err(|e| e.to_string())?;
-    for k in 0..rank {
-        // Fiber values are ≤ 5, ≤ 30 entries, factor entries O(1): the
-        // f32 rounding of two multiplicands bounds the absolute error.
-        ensure(
-            (via_f32[k] - full[k]).abs() <= 1e-3 * (1.0 + via_f32[k].abs().max(full[k].abs())),
-            || format!("k {k}: f32 route {} too far from f64 route {}", via_f32[k], full[k]),
-        )?;
-    }
-    Ok(())
-}
-
-/// Updates on an `f32`-profile state must preserve its invariant: every
-/// master factor entry stays exactly `f32`-representable, so the mirror
-/// (widened) always equals the masters bit for bit.
-fn check_f32_state_invariant(dims: &[usize], rank: usize, seed: u64) -> Result<(), String> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let x = random_sparse(&mut rng, dims, 30);
-    let mut state = FactorState::random(dims, rank, 0.7, seed ^ 1, Precision::F32);
-    let mut ws = KernelWorkspace::new(dims.len(), rank);
-    for _ in 0..8 {
-        let mode = rng.gen_range(0..dims.len());
-        let index = rng.gen_range(0..dims[mode]) as u32;
-        update_row_exact(&mut state, &x, mode, index, &mut ws);
-    }
-    for (m, &dim) in dims.iter().enumerate() {
-        for &v in state.kruskal.factors[m].as_slice() {
-            ensure(v == v as f32 as f64, || format!("mode {m}: {v} is not f32-representable"))?;
-        }
-        let plane = state.mirror().f32_plane(m).ok_or("f32 state lost its f32 mirror")?;
-        let stride = state.mirror().stride();
-        for i in 0..dim {
-            let row = state.kruskal.factors[m].row(i);
-            let mrow = &plane[i * stride..i * stride + rank];
-            for k in 0..rank {
-                ensure(mrow[k] as f64 == row[k], || {
-                    format!("mode {m} row {i} k {k}: mirror {} vs master {}", mrow[k], row[k])
-                })?;
-            }
-        }
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -293,20 +198,5 @@ proptest! {
     #[test]
     fn blocked_fiber_row_matches_per_entry_route(g in geometry3()) {
         check_blocked_fiber_row(&g.0, g.1, g.2).map_err(TestCaseError::fail)?;
-    }
-
-    #[test]
-    fn interleaved_mirror_is_bitwise_row_major(g in geometry3()) {
-        check_interleaved_bitwise(&g.0, g.1, g.2).map_err(TestCaseError::fail)?;
-    }
-
-    #[test]
-    fn f32_mirror_is_exact_vs_rounded_and_close_vs_f64(g in geometry3()) {
-        check_f32_mirror(&g.0, g.1, g.2).map_err(TestCaseError::fail)?;
-    }
-
-    #[test]
-    fn f32_state_updates_preserve_representability(g in geometry()) {
-        check_f32_state_invariant(&g.0, g.1, g.2).map_err(TestCaseError::fail)?;
     }
 }

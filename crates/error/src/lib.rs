@@ -170,6 +170,15 @@ pub enum SnsError {
         /// The length actually received.
         got: usize,
     },
+    /// A model update's least-squares solve failed (its Gram system was
+    /// non-finite or did not converge): the engine's factors have
+    /// diverged and later updates cannot repair them.
+    Diverged {
+        /// Display name of the engine.
+        engine: String,
+        /// The failed solve, as text.
+        detail: String,
+    },
 }
 
 /// Failure classes of the snapshot codec (see [`SnsError::Codec`]).
@@ -296,6 +305,9 @@ impl fmt::Display for SnsError {
                     "kernel buffer {what}: length {got} must equal the factor rank {expected}"
                 )
             }
+            SnsError::Diverged { engine, detail } => {
+                write!(f, "engine {engine} diverged: {detail}")
+            }
         }
     }
 }
@@ -340,6 +352,9 @@ mod tests {
             .to_string()
             .contains("snapshot"));
         assert!(SnsError::ShardOutOfRange { shard: 7, shards: 4 }.to_string().contains('7'));
+        assert!(SnsError::Diverged { engine: "OnlineSCP".into(), detail: "NaN".into() }
+            .to_string()
+            .contains("OnlineSCP diverged"));
         let codec =
             SnsError::Codec { fault: CodecFault::Truncated, offset: 12, detail: "spec".into() };
         assert!(codec.to_string().contains("truncated") && codec.to_string().contains("12"));

@@ -167,7 +167,7 @@ mod tests {
             let mut fast = vec![0.0; 5];
             let mut slow = vec![0.0; 5];
             cache.solve_row(&u, &mut fast);
-            solve_row_sym(&h, &u, &mut slow);
+            solve_row_sym(&h, &u, &mut slow).unwrap();
             for k in 0..5 {
                 assert!((fast[k] - slow[k]).abs() < 1e-12, "{} vs {}", fast[k], slow[k]);
             }
@@ -203,7 +203,7 @@ mod tests {
             let mut fast = vec![0.0; n];
             let mut slow = vec![0.0; n];
             cache.solve_row(&u, &mut fast);
-            solve_row_sym(&h, &u, &mut slow);
+            solve_row_sym(&h, &u, &mut slow).unwrap();
             for k in 0..n {
                 assert!((fast[k] - slow[k]).abs() < 1e-12);
             }

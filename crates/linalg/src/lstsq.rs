@@ -57,7 +57,11 @@ pub const GRAM_PIVOT_RTOL: f64 = 1e-10;
 /// back to the eigendecomposition pseudoinverse only when `H` is
 /// singular. ~20× cheaper than forming `H†` for the well-conditioned
 /// Gram systems that dominate per-event updates.
-pub fn solve_row_sym(h: &Mat, u: &[f64], out: &mut [f64]) {
+///
+/// # Errors
+/// The pseudoinverse's error when `H` is not finite (the Cholesky
+/// attempt rejects it first) or its eigendecomposition does not converge.
+pub fn solve_row_sym(h: &Mat, u: &[f64], out: &mut [f64]) -> Result<()> {
     debug_assert_eq!(h.rows(), h.cols());
     debug_assert_eq!(u.len(), h.rows());
     debug_assert_eq!(out.len(), h.rows());
@@ -69,10 +73,11 @@ pub fn solve_row_sym(h: &Mat, u: &[f64], out: &mut [f64]) {
         Err(_) => {
             // Near-singular: truncated pseudoinverse (zeroes the tiny
             // eigendirections instead of amplifying through them).
-            let h_pinv = pinv_sym(h).expect("finite symmetric system");
+            let h_pinv = pinv_sym(h)?;
             crate::ops::row_times_mat(u, &h_pinv, out);
         }
     }
+    Ok(())
 }
 
 /// Solves `X · H = U` for symmetric PSD `H` (i.e. `X = U·H†`), row-block
@@ -200,7 +205,7 @@ mod tests {
         }
         let u = [1.0, -2.0, 0.5, 3.0];
         let mut fast = [0.0; 4];
-        solve_row_sym(&h, &u, &mut fast);
+        solve_row_sym(&h, &u, &mut fast).unwrap();
         let hp = pinv_sym(&h).unwrap();
         let mut slow = [0.0; 4];
         crate::ops::row_times_mat(&u, &hp, &mut slow);
@@ -216,7 +221,7 @@ mod tests {
         let h = crate::ops::matmul(&v, &v.transpose()).unwrap();
         let u = [1.0, 2.0]; // in the row space
         let mut out = [0.0; 2];
-        solve_row_sym(&h, &u, &mut out);
+        solve_row_sym(&h, &u, &mut out).unwrap();
         // x·H should reproduce u.
         let mut back = [0.0; 2];
         crate::ops::row_times_mat(&out, &h, &mut back);

@@ -1467,6 +1467,18 @@ impl StreamSession {
     /// Receipt of the oldest uncollected pipelined batch, blocking until
     /// it arrives. `None` if no pipelined batches are outstanding.
     pub fn recv_receipt(&mut self) -> Option<Result<BatchReceipt, SnsError>> {
+        self.next_receipt(true)
+    }
+
+    /// Non-blocking [`StreamSession::recv_receipt`]: `None` when no
+    /// receipt is ready (or none outstanding).
+    pub fn try_recv_receipt(&mut self) -> Option<Result<BatchReceipt, SnsError>> {
+        self.next_receipt(false)
+    }
+
+    /// The receipt reader behind [`StreamSession::recv_receipt`]
+    /// (`block`) and [`StreamSession::try_recv_receipt`].
+    fn next_receipt(&mut self, block: bool) -> Option<Result<BatchReceipt, SnsError>> {
         if let Some(r) = self.buffered.pop_front() {
             self.unclaimed -= 1;
             return Some(r);
@@ -1475,41 +1487,23 @@ impl StreamSession {
             return None;
         }
         loop {
-            match self.rx.recv() {
+            let reply = if block {
+                self.rx.recv().map_err(|_| TryRecvError::Disconnected)
+            } else {
+                self.rx.try_recv()
+            };
+            match reply {
                 Ok(SessionReply { ticket, body: ReplyBody::Receipt(r) }) => {
                     self.unclaimed -= 1;
                     return Some(self.stamp_receipt(ticket, r));
                 }
                 // Only pipelined receipts can be outstanding here.
                 Ok(_) => continue,
-                Err(_) => {
+                Err(TryRecvError::Empty) => return None,
+                Err(TryRecvError::Disconnected) => {
                     self.unclaimed -= 1;
                     return Some(Err(self.closed_err()));
                 }
-            }
-        }
-    }
-
-    /// Non-blocking [`StreamSession::recv_receipt`]: `None` when no
-    /// receipt is ready (or none outstanding).
-    pub fn try_recv_receipt(&mut self) -> Option<Result<BatchReceipt, SnsError>> {
-        if let Some(r) = self.buffered.pop_front() {
-            self.unclaimed -= 1;
-            return Some(r);
-        }
-        if self.unclaimed == 0 {
-            return None;
-        }
-        match self.rx.try_recv() {
-            Ok(SessionReply { ticket, body: ReplyBody::Receipt(r) }) => {
-                self.unclaimed -= 1;
-                Some(self.stamp_receipt(ticket, r))
-            }
-            Ok(_) => None,
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => {
-                self.unclaimed -= 1;
-                Some(Err(self.closed_err()))
             }
         }
     }

@@ -64,7 +64,7 @@ pub enum EngineSpec {
         eta: f64,
         /// Scale of the random factor initialization.
         init_scale: f64,
-        /// Factor-storage precision profile.
+        /// Factor-storage precision (always [`Precision::F64`]).
         precision: Precision,
         /// Fixed seed; `None` lets the runtime supply one (the pool's
         /// deterministic per-stream seed).

@@ -243,7 +243,11 @@ impl<B: PeriodicCpd> StreamingCpd for BaselineEngine<B> {
     }
 
     fn advance_to(&mut self, t: u64) -> usize {
-        self.flush_to(t)
+        // `advance_to` has no error channel: a failed period stops the
+        // flush, `diverged()` reports the non-finite factors, and the
+        // next `ingest` returns the typed error.
+        let before = self.periods();
+        self.flush_to(t).unwrap_or_else(|_| (self.periods() - before) as usize)
     }
 
     fn window(&self) -> &SparseTensor {

@@ -303,7 +303,7 @@ mod engine_parity {
             updates_buf.clear();
             window.ingest(*tu, &mut updates_buf).unwrap();
             for u in &updates_buf {
-                algo.on_period(window.tensor(), u);
+                algo.on_period(window.tensor(), u).expect("finite Gram systems");
             }
             updates += updates_buf.len() as u64;
             if next_mark < marks.len() && i == marks[next_mark] {

@@ -1,13 +1,13 @@
 //! Throughput bench: events/second per method at the Table-III default
 //! configuration (synthetic NYC-Taxi-like stream, `R = 20`, `W = 10`,
 //! `T = 3600`, `θ = 20`), emitting a machine-readable `BENCH_*.json` —
-//! plus the pooled multi-rank `sweep` scenario.
+//! plus the allocation/RSS profile (`resources`) and the shards × streams
+//! throughput grid (`fleet`).
 //!
 //! ```text
 //! cargo run --release -p sns-bench --bin bench -- --smoke --tag pr6
 //! cargo run --release -p sns-bench --bin bench -- resources --smoke --tag pr6
-//! cargo run --release -p sns-bench --bin bench -- sweep --smoke --out SWEEP_pr4.json
-//! cargo run --release -p sns-bench --bin bench -- recover --smoke --out RECOVER_pr5.json
+//! cargo run --release -p sns-bench --bin bench -- fleet --smoke
 //! ```
 //!
 //! Throughput flags:
@@ -48,46 +48,9 @@
 //!   if the widest cell fails the 2× scaling requirement over one
 //!   shard (advisory elsewhere; the JSON records `enforced`).
 //!
-//! `sweep` subcommand flags:
-//! - `--ranks <a,b,c>`  CP ranks to sweep (default `5,10,20`);
-//! - `--shards <n>`     pool worker shards (default 4);
-//! - `--smoke`          fifth-length trace (CI-sized);
-//! - `--out <path>`     JSON output path (default `SWEEP_pr4.json`);
-//! - `--trace-for rank=R,method=M,path=P`  replay the CSV at `P` in the
-//!   `(R, M)` cell instead of the shared synthetic trace (repeatable;
-//!   opens dataset×rank sweeps).
-//!
-//! `soak` subcommand flags (default output `METRICS_<tag>.json`, tag
-//! default `pr7`):
-//! - `--streams <n>`    concurrent pooled streams (default 240);
-//! - `--shards <n>`     pool worker shards (default 4);
-//! - `--smoke`          third-length traces (CI-sized);
-//! - `--tag <tag>` / `--out <path>`  artifact naming.
-//!   Exits non-zero unless the chaos fleet survives: zero stream
-//!   deaths, every quarantined batch replayed **byte-identically**
-//!   after repair, every stream present in the metrics dump.
-//!
-//! `recover` subcommand flags:
-//! - `--shards <n>`     pool worker shards (default 4);
-//! - `--smoke`          quarter-length trace (CI-sized);
-//! - `--wal`            WAL mode: per-stream journal + background
-//!   checkpoint daemon during the doomed run; recovery replays the
-//!   bounded journal tail on top of the newest delta checkpoint (see
-//!   `docs/DURABILITY.md`);
-//! - `--dir <path>`     checkpoint directory (default
-//!   `recover-checkpoint`; the manifest is left behind for artifacts);
-//! - `--out <path>`     JSON output path (default `RECOVER_pr5.json`,
-//!   or `RECOVER_pr8.json` with `--wal`).
-//!   Exits non-zero unless every recovered stream is **byte-identical**
-//!   to the uninterrupted reference run (and, with `--wal`, the replay
-//!   was bounded: more than zero units yet fewer than the full journal).
-//!
 //! All JSON schemas are documented in the README.
 
 use sns_bench::experiments::fleet::{run_fleet, FleetConfig, AGGREGATE_FLOOR_EVENTS_PER_SEC};
-use sns_bench::experiments::recover::{run_recover, RecoverConfig};
-use sns_bench::experiments::soak::{run_soak, SoakConfig};
-use sns_bench::experiments::sweep::{run_sweep, SweepConfig, TraceOverride};
 use sns_bench::runner::{split_prefill, ExperimentParams};
 use sns_bench::Method;
 use sns_core::als::AlsOptions;
@@ -502,181 +465,6 @@ fn run_resources_command(args: &[String]) {
     }
 }
 
-/// `bench sweep`: run the pooled multi-rank sweep scenario and write its
-/// machine-readable report.
-fn run_sweep_command(args: &[String]) {
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = flag_value(args, "--out").unwrap_or("SWEEP_pr4.json").to_string();
-    let mut cfg = SweepConfig::default();
-    if let Some(ranks) = flag_value(args, "--ranks") {
-        let parsed: Vec<usize> = ranks.split(',').filter_map(|r| r.trim().parse().ok()).collect();
-        if !parsed.is_empty() {
-            cfg.ranks = parsed;
-        }
-    }
-    if let Some(shards) = flag_value(args, "--shards") {
-        if let Ok(n) = shards.parse::<usize>() {
-            cfg.shards = n.max(1);
-        }
-    }
-    for (i, arg) in args.iter().enumerate() {
-        if arg != "--trace-for" {
-            continue;
-        }
-        let Some(value) = args.get(i + 1) else {
-            eprintln!("--trace-for needs rank=R,method=M,path=P");
-            std::process::exit(2);
-        };
-        match parse_trace_override(value) {
-            Some(ov) => cfg.trace_overrides.push(ov),
-            None => {
-                eprintln!("malformed --trace-for {value:?} (want rank=R,method=M,path=P)");
-                std::process::exit(2);
-            }
-        }
-    }
-    if smoke {
-        cfg.events /= 5;
-    }
-    println!(
-        "sweep: ranks {:?} x methods {:?} over {} events, {} shards ({} mode)",
-        cfg.ranks,
-        cfg.methods.iter().map(|m| m.name()).collect::<Vec<_>>(),
-        cfg.events,
-        cfg.shards,
-        if smoke { "smoke" } else { "full" },
-    );
-    let report = run_sweep(&cfg);
-    print!("{}", report.render());
-    if let Some(best) = report.best() {
-        println!("best cell: {} at R={} (fitness {:.4})", best.method, best.rank, best.fitness);
-    }
-    let failed = report.cells.iter().filter(|c| c.error.is_some()).count();
-    std::fs::write(&out_path, report.to_json()).expect("write sweep json");
-    println!("wrote {out_path}");
-    if failed > 0 {
-        eprintln!("{failed} sweep cell(s) errored");
-        std::process::exit(1);
-    }
-}
-
-/// Parses one `rank=R,method=M,path=P` value. The method name may
-/// itself contain `=` or `,` only if it is one of the known display
-/// names, which none do — so plain splitting is enough.
-fn parse_trace_override(value: &str) -> Option<TraceOverride> {
-    let mut rank = None;
-    let mut method = None;
-    let mut path = None;
-    for part in value.split(',') {
-        let (key, v) = part.split_once('=')?;
-        match key.trim() {
-            "rank" => rank = v.trim().parse::<usize>().ok(),
-            "method" => method = Some(v.trim().to_string()),
-            "path" => path = Some(std::path::PathBuf::from(v.trim())),
-            _ => return None,
-        }
-    }
-    Some(TraceOverride { rank: rank?, method: method?, path: path? })
-}
-
-/// `bench soak`: a large pooled fleet with injected engine panics —
-/// quarantine, repair, bitwise replay, and the ops-layer metrics
-/// artifact. Exits non-zero unless every acceptance condition holds
-/// (no stream deaths, every stream bitwise after repair, every stream
-/// observable in the metrics dump, backpressure and quarantine events
-/// seen on the bus).
-fn run_soak_command(args: &[String]) {
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = tagged_out_path(args, "METRICS", "pr7");
-    let mut cfg = SoakConfig::default();
-    if let Some(shards) = flag_value(args, "--shards") {
-        if let Ok(n) = shards.parse::<usize>() {
-            cfg.shards = n.max(1);
-        }
-    }
-    if let Some(streams) = flag_value(args, "--streams") {
-        if let Ok(n) = streams.parse::<usize>() {
-            cfg.streams = n.max(1);
-        }
-    }
-    if smoke {
-        cfg.events /= 3;
-    }
-    println!(
-        "soak: {} streams ({} chaos), {} events each, {} shards ({} mode)",
-        cfg.streams,
-        (0..cfg.streams as u64).filter(|id| id % cfg.chaos_every == 0).count(),
-        cfg.events,
-        cfg.shards,
-        if smoke { "smoke" } else { "full" },
-    );
-    let report = match run_soak(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("soak scenario failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    print!("{}", report.render());
-    std::fs::write(&out_path, &report.metrics_json).expect("write metrics json");
-    println!("wrote {out_path}");
-    if !report.all_ok() {
-        eprintln!("SOAK FAILED: a stream died, diverged after replay, or went unobserved");
-        std::process::exit(1);
-    }
-}
-
-/// `bench recover`: kill a pooled replay mid-trace, recover from disk,
-/// finish, and assert byte-identity with an uninterrupted run.
-fn run_recover_command(args: &[String]) {
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let wal = args.iter().any(|a| a == "--wal");
-    let default_out = if wal { "RECOVER_pr8.json" } else { "RECOVER_pr5.json" };
-    let out_path = flag_value(args, "--out").unwrap_or(default_out).to_string();
-    let mut cfg = RecoverConfig { wal, ..Default::default() };
-    if let Some(shards) = flag_value(args, "--shards") {
-        if let Ok(n) = shards.parse::<usize>() {
-            cfg.shards = n.max(1);
-        }
-    }
-    if let Some(dir) = flag_value(args, "--dir") {
-        cfg.dir = std::path::PathBuf::from(dir);
-    }
-    if smoke {
-        cfg.events /= 4;
-    }
-    println!(
-        "recover: {} events, crash at midpoint, {} shards, checkpoint dir {} ({} mode{})",
-        cfg.events,
-        cfg.shards,
-        cfg.dir.display(),
-        if smoke { "smoke" } else { "full" },
-        if cfg.wal { ", wal" } else { "" },
-    );
-    let report = match run_recover(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("recover scenario failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    print!("{}", report.render());
-    println!("checkpoint manifest: {}", report.manifest.display());
-    std::fs::write(&out_path, report.to_json()).expect("write recover json");
-    println!("wrote {out_path}");
-    if !report.all_identical() {
-        eprintln!("RECOVERY DIVERGED: restored fleet is not byte-identical");
-        std::process::exit(1);
-    }
-    if !report.replay_bounded() {
-        eprintln!(
-            "WAL REPLAY UNBOUNDED: {} units replayed of {} journaled",
-            report.replayed, report.replay_bound
-        );
-        std::process::exit(1);
-    }
-}
-
 /// `bench fleet`: the shards × streams aggregate-throughput grid.
 /// Exits non-zero (with `--enforce-floor`) if the best cell misses the
 /// aggregate floor, or — on hosts with enough cores for worker threads
@@ -750,18 +538,6 @@ fn run_fleet_command(args: &[String]) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().is_some_and(|a| a == "sweep") {
-        run_sweep_command(&args[1..]);
-        return;
-    }
-    if args.first().is_some_and(|a| a == "recover") {
-        run_recover_command(&args[1..]);
-        return;
-    }
-    if args.first().is_some_and(|a| a == "soak") {
-        run_soak_command(&args[1..]);
-        return;
-    }
     if args.first().is_some_and(|a| a == "resources") {
         run_resources_command(&args[1..]);
         return;

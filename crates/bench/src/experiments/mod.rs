@@ -2,12 +2,10 @@
 //! `run(scale: f64) -> String`; the binaries print that string, and
 //! `run_all` concatenates everything for `EXPERIMENTS.md`.
 //!
-//! [`sweep`], [`recover`], [`soak`], and [`fleet`] are not paper
-//! figures: they are the pooled multi-rank sweep scenario
-//! (`bench sweep`), the pool-wide crash recovery scenario
-//! (`bench recover`), the chaos/quarantine soak (`bench soak`), and the
-//! shards × streams aggregate-throughput grid (`bench fleet`), all
-//! documented in the README.
+//! [`fleet`] is not a paper figure: it is the shards × streams
+//! aggregate-throughput grid behind `bench fleet`, documented in the
+//! README. It stays until the repo benchmark gains a shard-scaling
+//! workload.
 
 pub mod fig1;
 pub mod fig4;
@@ -17,9 +15,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod fleet;
-pub mod recover;
-pub mod soak;
-pub mod sweep;
 pub mod table2;
 pub mod table3;
 

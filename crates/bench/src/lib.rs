@@ -1,8 +1,13 @@
 //! # sns-bench
 //!
 //! Experiment harnesses reproducing every table and figure of the
-//! SliceNStitch paper (see `DESIGN.md` §5 for the full index), plus
+//! SliceNStitch paper, the
+//! `bench` binary's throughput, resource and fleet measurements, plus
 //! Criterion micro-benchmarks of the hot kernels.
+//!
+//! Correctness guarantees of the serving stack (pooled ≡ serial, crash
+//! recovery and quarantine replay ≡ an uninterrupted run) are not
+//! checked here: they live in the root package's integration tests.
 //!
 //! Each figure/table has a binary (`cargo run -p sns-bench --release
 //! --bin figN_…`) that prints the measured rows next to the paper's

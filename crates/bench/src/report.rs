@@ -80,27 +80,6 @@ pub fn f(v: f64) -> String {
     }
 }
 
-/// Encodes a string as a JSON string literal (quotes included).
-/// Rust's `{:?}` is *not* valid JSON for non-ASCII input — it emits
-/// `\u{e9}`-style escapes — so the machine-readable reports use this.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// A section banner for harness output.
 pub fn banner(title: &str) -> String {
     format!("\n=== {title} ===\n")
@@ -141,15 +120,6 @@ mod tests {
         assert_eq!(f(1.0e7), "1.000e7");
         assert_eq!(f(0.00001), "1.000e-5");
         assert_eq!(f(f64::NAN), "NaN");
-    }
-
-    #[test]
-    fn json_strings_stay_valid_for_non_ascii_and_specials() {
-        assert_eq!(json_str("plain"), "\"plain\"");
-        assert_eq!(json_str("tracé.csv"), "\"tracé.csv\"");
-        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_str("x\ny"), "\"x\\ny\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

@@ -12,8 +12,8 @@ use crate::method::Method;
 use sns_core::als::{als, AlsOptions};
 use sns_data::spec::DatasetSpec;
 use sns_runtime::StreamingCpd;
-use sns_stream::StreamTuple;
-use std::time::Instant;
+use sns_stream::{SnsError, StreamTuple};
+use std::time::{Duration, Instant};
 
 /// Tensor-window parameters for one experiment (a [`DatasetSpec`] with
 /// possible overrides for the parameter-sweep figures).
@@ -164,6 +164,11 @@ pub fn run_method(
 /// relative-fitness checkpoints — the same amortized path the pooled
 /// runtime's workers use. The engine decides *when* factors update; the
 /// loop neither knows nor cares.
+///
+/// An engine error (a tuple the window rejects, a baseline solve that
+/// fails) stops the run: the result keeps the checkpoints taken so far
+/// and reports `diverged`, as Figs. 1 and 9 do, so one failing method
+/// never aborts the other experiments.
 pub fn drive(
     params: &ExperimentParams,
     stream: &[StreamTuple],
@@ -171,25 +176,46 @@ pub fn drive(
     cfg: &RunConfig,
 ) -> RunResult {
     let (prefill, measured) = split_prefill(params, stream);
-    engine.prefill_all(prefill).expect("chronological stream");
-    engine.warm_start(&cfg.als);
-
     let measured = match cfg.max_measured_tuples {
         Some(cap) => &measured[..measured.len().min(cap)],
         None => measured,
     };
-    let marks = checkpoint_indices(measured.len(), cfg.checkpoints);
-    let mut series = Vec::with_capacity(marks.len());
-    let mut total = std::time::Duration::ZERO;
+    let mut series = Vec::with_capacity(cfg.checkpoints);
+    let mut total = Duration::ZERO;
+    let failed =
+        feed(engine.as_mut(), params, prefill, measured, cfg, &mut series, &mut total).is_err();
+    finish_result(
+        engine.name(),
+        total.as_secs_f64(),
+        engine.updates_applied(),
+        measured.len(),
+        series,
+        failed || engine.diverged(),
+        engine.num_parameters(),
+    )
+}
+
+/// [`drive`]'s protocol up to the first engine error: one batch per
+/// inter-checkpoint span (plus a tail batch when the last mark is not
+/// the final tuple); each batch's time is added to `total`, each mark
+/// evaluated outside the timed span.
+fn feed(
+    engine: &mut dyn StreamingCpd,
+    params: &ExperimentParams,
+    prefill: &[StreamTuple],
+    measured: &[StreamTuple],
+    cfg: &RunConfig,
+    series: &mut Vec<Checkpoint>,
+    total: &mut Duration,
+) -> Result<(), SnsError> {
+    engine.prefill_all(prefill)?;
+    engine.warm_start(&cfg.als);
     let mut done = 0usize;
-    // One batch per inter-checkpoint span (plus a tail batch when the
-    // last mark is not the final tuple); each batch is timed, each mark
-    // evaluated outside the timed span.
-    for &mark in &marks {
-        let chunk = &measured[done..=mark];
+    for mark in checkpoint_indices(measured.len(), cfg.checkpoints) {
         let chunk_start = Instant::now();
-        engine.ingest_all(chunk).expect("chronological stream");
-        total += chunk_start.elapsed();
+        let ingested = engine.ingest_all(&measured[done..=mark]);
+        *total += chunk_start.elapsed();
+        ingested?;
         done = mark + 1;
         let fitness = engine.fitness();
         let reference = reference_fitness(engine.window(), params.rank, &cfg.als);
@@ -197,19 +223,11 @@ pub fn drive(
     }
     if done < measured.len() {
         let chunk_start = Instant::now();
-        engine.ingest_all(&measured[done..]).expect("chronological stream");
-        total += chunk_start.elapsed();
+        let ingested = engine.ingest_all(&measured[done..]);
+        *total += chunk_start.elapsed();
+        ingested?;
     }
-
-    finish_result(
-        engine.name(),
-        total.as_secs_f64(),
-        engine.updates_applied(),
-        measured.len(),
-        series,
-        engine.diverged(),
-        engine.num_parameters(),
-    )
+    Ok(())
 }
 
 fn finish_result(
@@ -314,6 +332,20 @@ mod tests {
         assert!(r.updates < r.tuples as u64 / 2, "{} updates", r.updates);
         assert!(r.avg_update_us > 0.0);
         assert_eq!(r.series.len(), 4);
+    }
+
+    #[test]
+    fn engine_error_reports_diverged_instead_of_panicking() {
+        let p = tiny_params();
+        let mut s = tiny_stream(&p);
+        let cut = split_prefill(&p, &s).0.len();
+        let measured = s.len() - cut;
+        s[cut + measured / 2].value = f64::NAN;
+        let cfg = RunConfig { checkpoints: 4, ..Default::default() };
+        let r = run_method(&p, &s, Method::Sns(AlgorithmKind::PlusRnd), &cfg);
+        assert!(r.diverged, "a rejected tuple must end the run as diverged");
+        assert!(r.series.len() < 4, "no checkpoint past the rejected tuple");
+        assert_eq!(r.tuples, measured);
     }
 
     #[test]

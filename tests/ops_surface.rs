@@ -9,8 +9,8 @@ use slicenstitch::data::{generate, GeneratorConfig};
 use slicenstitch::ops::{BusItem, QuarantinedOp};
 use slicenstitch::runtime::pool::stream_seed;
 use slicenstitch::runtime::{
-    BatchJournal, ChaosConfig, EnginePool, EngineSnapshot, EngineSpec, JournalEntry, PoolConfig,
-    PoolEvent, QuarantinePolicy, SnsError, POISON_VALUE,
+    AnomalyConfig, BaselineKind, BatchJournal, ChaosConfig, EnginePool, EngineSnapshot, EngineSpec,
+    JournalEntry, PoolConfig, PoolEvent, QuarantinePolicy, SnsError, POISON_VALUE,
 };
 use slicenstitch::stream::StreamTuple;
 use std::sync::atomic::Ordering;
@@ -22,14 +22,12 @@ const W: usize = 3;
 const T: u64 = 5;
 const BASE_SEED: u64 = 0x0b5;
 
+fn sns(kind: AlgorithmKind) -> EngineSpec {
+    EngineSpec::sns(&DIMS, W, T, kind, &SnsConfig { rank: 2, theta: 10, ..Default::default() })
+}
+
 fn sns_spec() -> EngineSpec {
-    EngineSpec::sns(
-        &DIMS,
-        W,
-        T,
-        AlgorithmKind::PlusRnd,
-        &SnsConfig { rank: 2, theta: 10, ..Default::default() },
-    )
+    sns(AlgorithmKind::PlusRnd)
 }
 
 fn trace(seed: u64, events: usize) -> Vec<StreamTuple> {
@@ -83,10 +81,24 @@ fn drive(
     Ok(rejected)
 }
 
+/// Undoes the poison: the repair applied to quarantined letters and to
+/// the serial reference traces. Returns how many tuples it repaired.
+fn repair(tuples: &mut [StreamTuple]) -> usize {
+    let mut repaired = 0;
+    for t in tuples.iter_mut().filter(|t| t.value.to_bits() == POISON_VALUE.to_bits()) {
+        t.value = 1.0;
+        repaired += 1;
+    }
+    repaired
+}
+
 /// A panicking batch quarantines the stream instead of killing it, the
-/// healthy co-tenant never notices, the repaired letters replay to a
-/// state byte-identical to a serial run over the repaired trace, and
-/// the whole story is visible on the bus and in the metrics dump.
+/// healthy co-tenants (SNS⁺_RND, SNS⁺_VEC, OnlineSCP and an
+/// anomaly-decorated SNS⁺_RND) never notice, a second poison tuple
+/// behind the quarantine is diverted with the rest, the repaired letters
+/// replay to a state byte-identical to a serial run over the repaired
+/// trace, and the whole story is visible on the bus and in the metrics
+/// dump.
 #[test]
 fn quarantine_replay_is_bitwise_and_observable() {
     let pool = EnginePool::new(PoolConfig {
@@ -97,67 +109,69 @@ fn quarantine_replay_is_bitwise_and_observable() {
     });
     let mut sub = pool.ops().subscribe();
 
-    let chaos_spec = sns_spec().with_chaos(ChaosConfig::default());
     let mut poisoned = trace(1, 300);
     let c = cut(&poisoned);
     let live = poisoned.len() - c;
-    poisoned[c + live / 2].value = POISON_VALUE;
-    let healthy_trace = trace(2, 300);
-
-    let mut chaos = pool.open(1, chaos_spec.clone()).unwrap();
-    let mut healthy = pool.open(2, sns_spec()).unwrap();
-    let rejected = drive(&mut chaos, &poisoned).unwrap();
-    assert!(rejected >= 1, "the poison batch must be rejected");
-    assert_eq!(drive(&mut healthy, &healthy_trace).unwrap(), 0);
+    poisoned[c + live / 3].value = POISON_VALUE;
+    poisoned[c + 2 * live / 3].value = POISON_VALUE;
+    let tenants = [
+        (1u64, sns_spec().with_chaos(ChaosConfig::default()), poisoned),
+        (2, sns_spec(), trace(2, 300)),
+        (3, sns(AlgorithmKind::PlusVec), trace(3, 300)),
+        (4, EngineSpec::baseline(&DIMS, W, T, 2, BaselineKind::OnlineScp), trace(4, 300)),
+        (5, sns_spec().with_anomaly(AnomalyConfig::default()), trace(5, 300)),
+    ];
+    let mut sessions: Vec<_> =
+        tenants.iter().map(|(id, spec, _)| pool.open(*id, spec.clone()).unwrap()).collect();
+    let rejected = drive(&mut sessions[0], &tenants[0].2).unwrap();
+    assert!(rejected >= 2, "the poison batch and everything behind it must be rejected");
+    for (session, (id, _, tr)) in sessions.iter_mut().zip(&tenants).skip(1) {
+        assert_eq!(drive(session, tr).unwrap(), 0, "co-tenant {id} noticed the quarantine");
+    }
 
     // The DLQ holds the poison batch plus everything diverted behind it.
     let letters_pending = pool.ops().dlq().pending(1);
     assert_eq!(letters_pending, rejected);
-    assert_eq!(pool.ops().dlq().pending(2), 0);
-    let chaos_report = chaos.report().unwrap();
-    assert!(chaos_report.error.is_some(), "sticky error until replay");
+    for (id, _, _) in &tenants[1..] {
+        assert_eq!(pool.ops().dlq().pending(*id), 0);
+    }
+    let chaos = &mut sessions[0];
+    assert!(chaos.report().unwrap().error.is_some(), "sticky error until replay");
 
     // Repair (poison -> 1.0) and replay; letters carry full context.
+    let mut repaired = 0;
     let replayed = chaos
         .replay_quarantined(|letter| {
             assert_eq!(letter.stream_id, 1);
             assert!(matches!(letter.op, QuarantinedOp::Ingest));
             assert!(!letter.tuples.is_empty());
-            for t in &mut letter.tuples {
-                if t.value.to_bits() == POISON_VALUE.to_bits() {
-                    t.value = 1.0;
-                }
-            }
+            repaired += repair(&mut letter.tuples);
         })
         .unwrap();
     assert_eq!(replayed, letters_pending);
+    assert_eq!(repaired, 2, "both poison tuples reach the dead-letter queue");
     assert_eq!(pool.ops().dlq().pending(1), 0);
     assert!(chaos.report().unwrap().error.is_none(), "replay clears the slot");
 
     // Byte-identity: pooled final state == serial run over the repaired
-    // trace with the same derived seed.
-    for (id, spec, tr) in [(1u64, chaos_spec, &poisoned), (2, sns_spec(), &healthy_trace)] {
+    // trace with the same derived seed, for every tenant.
+    for (session, (id, spec, tr)) in sessions.iter_mut().zip(&tenants) {
         let mut repaired = tr.clone();
-        for t in &mut repaired {
-            if t.value.to_bits() == POISON_VALUE.to_bits() {
-                t.value = 1.0;
-            }
-        }
-        let mut engine = spec.build(stream_seed(BASE_SEED, id));
+        repair(&mut repaired);
+        let mut engine = spec.build(stream_seed(BASE_SEED, *id));
         let cc = cut(&repaired);
         engine.prefill_all(&repaired[..cc]).unwrap();
         engine.warm_start(&als());
         engine.ingest_all(&repaired[cc..]).unwrap();
         let serial = slicenstitch::codec::to_bytes(&EngineSnapshot {
-            stream_id: id,
+            stream_id: *id,
             spec: spec.clone(),
-            seed: spec.effective_seed(stream_seed(BASE_SEED, id)),
+            seed: spec.effective_seed(stream_seed(BASE_SEED, *id)),
             wal_seq: 0,
             state: engine.snapshot().unwrap(),
         });
-        let session = if id == 1 { &mut chaos } else { &mut healthy };
         let pooled = slicenstitch::codec::to_bytes(&session.snapshot().unwrap());
-        assert_eq!(pooled, serial, "stream {id} diverged from its serial reference");
+        assert!(pooled == serial, "stream {id} diverged from its serial reference");
     }
 
     // Checkpoint for the CheckpointCommitted event, then close.
@@ -165,9 +179,16 @@ fn quarantine_replay_is_bitwise_and_observable() {
         let _ = snapshot.unwrap();
     }
     let dump = pool.ops().dump();
-    let stream1 = pool.ops().metrics().stream(1);
-    drop(chaos);
-    drop(healthy);
+    let metrics = pool.ops().metrics();
+    for (id, _, _) in &tenants {
+        assert!(metrics.stream_ids().contains(id), "stream {id} missing from the registry");
+        assert!(dump.contains(&format!("\"stream_id\":{id},")), "dump misses {id}: {dump}");
+        let latency = metrics.stream(*id).latency.snapshot();
+        assert!(latency.count > 0, "stream {id}: receipts must feed the histogram");
+        assert!(latency.p99_us.is_finite());
+    }
+    let stream1 = metrics.stream(1);
+    drop(sessions);
     pool.join();
 
     let (mut opened, mut evicted, mut quarantined, mut checkpoints) = (0, 0, 0, 0);
@@ -179,24 +200,23 @@ fn quarantine_replay_is_bitwise_and_observable() {
                 PoolEvent::TupleQuarantined { .. } => quarantined += 1,
                 PoolEvent::CheckpointCommitted { streams } => {
                     checkpoints += 1;
-                    assert_eq!(streams, 2);
+                    assert_eq!(streams, tenants.len());
                 }
                 _ => {}
             }
         }
     }
-    assert_eq!(opened, 2);
-    assert_eq!(evicted, 2);
+    assert_eq!(opened, tenants.len());
+    assert_eq!(evicted, tenants.len());
     assert_eq!(quarantined, rejected as u64);
     assert_eq!(checkpoints, 1);
 
-    // Metrics dump sanity: both streams, quarantine counters, dlq section.
-    for key in ["\"stream_id\":1", "\"stream_id\":2", "\"dlq\"", "\"events\"", "\"p99_us\""] {
+    // Metrics dump sanity: quarantine counters and the dlq section.
+    for key in ["\"dlq\"", "\"events\"", "\"p99_us\""] {
         assert!(dump.contains(key), "dump missing {key}: {dump}");
     }
-    assert!(stream1.quarantined.load(std::sync::atomic::Ordering::Relaxed) >= 1);
-    assert!(stream1.replayed.load(std::sync::atomic::Ordering::Relaxed) >= 1);
-    assert!(stream1.latency.snapshot().count > 0, "receipts must feed the histogram");
+    assert!(stream1.quarantined.load(Ordering::Relaxed) >= 1);
+    assert!(stream1.replayed.load(Ordering::Relaxed) >= 1);
 }
 
 /// With `QuarantinePolicy::Disabled` there is no pre-batch capture: a
@@ -363,11 +383,7 @@ fn group_panic_run(policy: QuarantinePolicy, pipelined: bool) -> (GroupRun, u64)
     let mut letters = Vec::new();
     let replay = session.replay_quarantined(|letter| {
         letters.push((letter.ticket, letter.op, letter.error.clone()));
-        for t in &mut letter.tuples {
-            if t.value.to_bits() == POISON_VALUE.to_bits() {
-                t.value = 1.0;
-            }
-        }
+        repair(&mut letter.tuples);
     });
     let snapshot = session.snapshot().map(|s| slicenstitch::codec::to_bytes(&s));
     let journal = journal.records.lock().unwrap().clone();
@@ -437,11 +453,7 @@ fn poisoned_prefill_batch_quarantines_and_replays_bitwise() {
     let replayed = session
         .replay_quarantined(|letter| {
             assert_eq!(letter.op, QuarantinedOp::Prefill);
-            for t in &mut letter.tuples {
-                if t.value.to_bits() == POISON_VALUE.to_bits() {
-                    t.value = 1.0;
-                }
-            }
+            repair(&mut letter.tuples);
         })
         .unwrap();
     assert_eq!(replayed, results.len() - 1);

@@ -10,17 +10,28 @@
 //! - truncating a snapshot at every section boundary and flipping
 //!   checksum bytes yield typed `SnsError::Codec` values, never panics;
 //! - a checked-in golden fixture decodes and re-encodes byte-identically,
-//!   so any wire-format drift without a `SCHEMA_VERSION` bump fails CI.
+//!   so any wire-format drift without a `SCHEMA_VERSION` bump fails CI;
+//! - a pooled fleet of every family killed mid-trace, recovered from
+//!   disk (checkpoint only, or checkpoint + WAL tail) and finished ends
+//!   byte-identical to a fleet that never crashed.
 
 use proptest::prelude::*;
+use slicenstitch::codec::daemon::{CheckpointPolicy, Checkpointer};
+use slicenstitch::codec::store::{checkpoint_pool, recover_pool, CheckpointStore};
+use slicenstitch::codec::wal::{recover_pool_wal, WalSet};
 use slicenstitch::codec::{from_bytes, to_bytes, SCHEMA_VERSION};
 use slicenstitch::core::als::AlsOptions;
 use slicenstitch::core::{AlgorithmKind, SnsConfig};
+use slicenstitch::data::replay::{replay, ReplayPlan};
 use slicenstitch::data::{generate, GeneratorConfig};
 use slicenstitch::runtime::{
-    AnomalyConfig, BaselineKind, EngineSnapshot, EngineSpec, SnsError, StreamingCpd,
+    AnomalyConfig, BaselineKind, BatchJournal, EnginePool, EngineSnapshot, EngineSpec, PoolConfig,
+    SnsError, StreamSession, StreamingCpd,
 };
 use slicenstitch::stream::StreamTuple;
+use std::path::Path;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const BASE_DIMS: [usize; 2] = [8, 6];
 const W: usize = 4;
@@ -274,5 +285,181 @@ fn golden_snapshot() -> EngineSnapshot {
         seed: 0x901d,
         wal_seq: 0,
         state: engine.snapshot().unwrap(),
+    }
+}
+
+/// The crash-recovery fleet: every [`family_spec`] engine plus SNS⁺_VEC,
+/// one pooled stream each.
+fn fleet() -> Vec<(u64, EngineSpec)> {
+    let plus_vec = EngineSpec::sns(
+        &BASE_DIMS,
+        W,
+        T,
+        AlgorithmKind::PlusVec,
+        &SnsConfig { rank: 3, theta: 3, seed: 0, ..Default::default() },
+    );
+    (0..7).map(|f| (f as u64, family_spec(f))).chain([(7, plus_vec)]).collect()
+}
+
+/// A two-shard pool, journaling to `journal` when one is given.
+fn fleet_pool(journal: Option<Arc<dyn BatchJournal>>) -> EnginePool {
+    EnginePool::new(PoolConfig {
+        shards: 2,
+        base_seed: 0xc4a5,
+        queue_depth: 64,
+        journal,
+        ..Default::default()
+    })
+}
+
+/// [`drive_protocol`] as a replay plan: prefill the first window, warm
+/// start, then one batch per period, flushing the clock to the end of
+/// the stream.
+fn full_plan() -> ReplayPlan {
+    ReplayPlan {
+        prefill_until: Some(W as u64 * T),
+        warm_start: Some(AlsOptions { max_iters: 8, ..Default::default() }),
+        bucket_ticks: T,
+        max_batch: 32,
+        advance_to: Some(6 * W as u64 * T),
+    }
+}
+
+/// Replays `tuples` through every session concurrently.
+fn drive_fleet(sessions: &mut [StreamSession], tuples: &[StreamTuple], plan: &ReplayPlan) {
+    std::thread::scope(|scope| {
+        for session in sessions.iter_mut() {
+            scope.spawn(move || replay(session, tuples, plan).unwrap());
+        }
+    });
+}
+
+/// Opens the fleet on `pool` and replays `tuples` through it.
+fn open_fleet(pool: &EnginePool, tuples: &[StreamTuple], plan: &ReplayPlan) -> Vec<StreamSession> {
+    let mut sessions: Vec<_> =
+        fleet().into_iter().map(|(id, spec)| pool.open(id, spec).unwrap()).collect();
+    drive_fleet(&mut sessions, tuples, plan);
+    sessions
+}
+
+/// Final bytes of every session, in stream-id order.
+fn fleet_bytes(sessions: &mut [StreamSession]) -> Vec<(u64, Vec<u8>)> {
+    let mut bytes: Vec<_> =
+        sessions.iter_mut().map(|s| (s.stream_id(), to_bytes(&s.snapshot().unwrap()))).collect();
+    bytes.sort_by_key(|(id, _)| *id);
+    bytes
+}
+
+fn fresh_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("sns-crash-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// What a WAL-mode crash measured.
+struct WalCrash {
+    replayed: u64,
+    journaled: u64,
+    daemon_commits: u64,
+}
+
+/// The WAL-mode doomed run: a live [`Checkpointer`] commits while
+/// `chunk` replays, is stopped once every stream has a checkpoint, and
+/// `journal_only` then lands only in the journal before the crash.
+/// Recovery goes through the newest checkpoints plus the WAL tail.
+fn crash_with_wal(
+    dir: &Path,
+    chunk: &[StreamTuple],
+    journal_only: &[StreamTuple],
+    tail_plan: &ReplayPlan,
+) -> (EnginePool, Vec<StreamSession>, WalCrash) {
+    let store = CheckpointStore::create(dir.join("store")).unwrap();
+    let wal = Arc::new(WalSet::create(dir.join("wal")).unwrap());
+    let doomed = Arc::new(fleet_pool(Some(wal.clone())));
+    let policy = CheckpointPolicy { min_batches: 8, poll: Duration::from_millis(5) };
+    let daemon = Checkpointer::start(doomed.clone(), store.clone(), wal.clone(), policy).unwrap();
+    let mut sessions = open_fleet(&doomed, chunk, &ReplayPlan { advance_to: None, ..full_plan() });
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while store.manifest().map_or(0, |m| m.len()) < sessions.len() {
+        assert!(daemon.error().is_none(), "{:?}", daemon.error());
+        assert!(Instant::now() < deadline, "the daemon never covered every stream");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let daemon_commits = daemon.stop().commits;
+    drive_fleet(&mut sessions, journal_only, tail_plan);
+    drop(sessions);
+    // Dropping the last handle is the crash: no clean close.
+    assert!(Arc::try_unwrap(doomed).is_ok(), "the stopped daemon still holds the pool");
+    assert!(wal.error().is_none(), "{:?}", wal.error());
+
+    let recovered = fleet_pool(Some(wal.clone()));
+    let (sessions, replayed) = recover_pool_wal(&recovered, &store, &wal).unwrap();
+    // Every stream journaled one unit per tuple plus its warm start.
+    let journaled = fleet().len() as u64 * (chunk.len() + journal_only.len() + 1) as u64;
+    (recovered, sessions, WalCrash { replayed, journaled, daemon_commits })
+}
+
+/// Kill → recover → finish, for every engine family on a two-shard
+/// pool: the recovered fleet must end byte-identical (factors, Grams,
+/// window orders, RNGs, detector state, journal cursor) to a fleet that
+/// never crashed. Checkpoint-only mode recovers from one hand-placed
+/// checkpoint; WAL mode from the daemon's newest checkpoints plus a
+/// journal tail that must be replayed but bounded.
+#[test]
+fn killed_fleet_recovers_bitwise_from_checkpoint_and_wal() {
+    let tuples = stream(0x5ca1e, 1_200);
+    let crash_at = tuples.len() / 2;
+    let chunk_end = crash_at * 4 / 5;
+    assert!(tuples[chunk_end].time > W as u64 * T, "the journal-only chunk must be live");
+    let tail_plan = ReplayPlan { prefill_until: None, warm_start: None, ..full_plan() };
+
+    for wal_mode in [false, true] {
+        let dir = fresh_dir(if wal_mode { "wal" } else { "checkpoint" });
+        // The reference journals too in WAL mode, so its snapshots carry
+        // the same `wal_seq` as the recovered fleet's.
+        let reference_journal: Option<Arc<dyn BatchJournal>> =
+            wal_mode.then(|| Arc::new(WalSet::create(dir.join("wal-reference")).unwrap()) as _);
+        let reference = fleet_pool(reference_journal);
+        let expected = fleet_bytes(&mut open_fleet(&reference, &tuples, &full_plan()));
+        reference.join();
+
+        let (recovered, mut sessions) = if wal_mode {
+            let (pool, sessions, crash) = crash_with_wal(
+                &dir,
+                &tuples[..chunk_end],
+                &tuples[chunk_end..crash_at],
+                &ReplayPlan { advance_to: None, ..tail_plan.clone() },
+            );
+            assert!(crash.replayed > 0, "the journal-only chunk must be replayed");
+            assert!(
+                crash.replayed < crash.journaled,
+                "replay must be bounded by the checkpoints: {} of {} units",
+                crash.replayed,
+                crash.journaled
+            );
+            assert!(crash.daemon_commits >= 1, "the daemon never committed");
+            (pool, sessions)
+        } else {
+            let store = CheckpointStore::create(dir.join("store")).unwrap();
+            let doomed = fleet_pool(None);
+            let first_half = ReplayPlan { advance_to: None, ..full_plan() };
+            let sessions = open_fleet(&doomed, &tuples[..crash_at], &first_half);
+            checkpoint_pool(&doomed, &store).unwrap();
+            drop(sessions);
+            drop(doomed); // the crash: no clean close
+            let recovered = fleet_pool(None);
+            let sessions = recover_pool(&recovered, &store).unwrap();
+            (recovered, sessions)
+        };
+        drive_fleet(&mut sessions, &tuples[crash_at..], &tail_plan);
+        let actual = fleet_bytes(&mut sessions);
+        assert_eq!(actual.len(), 8, "every family plus SNS+_VEC");
+        let name = |id: u64| if id < 7 { family_name(id as usize) } else { "SNS+_VEC" };
+        for ((id, got), (_, want)) in actual.iter().zip(&expected) {
+            assert!(got == want, "wal={wal_mode}: stream {id} ({}) diverged", name(*id));
+        }
+        drop(sessions);
+        recovered.join();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

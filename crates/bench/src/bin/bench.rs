@@ -30,11 +30,11 @@
 //! process peak RSS (`VmHWM`), and CPU utilization (`/proc/self/stat`
 //! utime+stime over wall time). With `--pooled`, an extra row drives
 //! the same reference stream through a one-shard [`sns_runtime`]
-//! `EnginePool` session (pipelined submits, recycled batch buffers) and
+//! `EnginePool` session (pipelined submits, one buffer per batch) and
 //! the JSON gains a `pooled_guard`: with `--enforce-floor` the run
 //! exits non-zero unless the pooled path stays at or under
-//! [`POOLED_ALLOCS_PER_EVENT_MAX`] allocations per event — the
-//! zero-alloc command-pipeline claim, held to measurement.
+//! [`POOLED_ALLOCS_PER_EVENT_MAX`] allocations per event — the command
+//! pipeline's allocation budget, held to measurement.
 //!
 //! `fleet` subcommand flags (default output `BENCH_<tag>.json`, tag
 //! default `pr10`):
@@ -149,10 +149,10 @@ pub const VEC_BASELINE_MICROS: f64 = 4.5;
 
 /// Allocation budget for the pooled resources row (`--pooled`):
 /// allocations per acknowledged factor update on the measured pipelined
-/// ingest path. The freelist recycles batch buffers and the reply
-/// channel amortizes its blocks, so steady state measures well under
-/// this; anything above it means the zero-alloc command pipeline
-/// regressed.
+/// ingest path. A batch costs one tuple buffer plus amortized reply
+/// channel blocks against thousands of factor updates, so steady state
+/// measures well under this; anything above it means the command
+/// pipeline regressed.
 pub const POOLED_ALLOCS_PER_EVENT_MAX: f64 = 0.1;
 
 struct MethodResult {
@@ -248,8 +248,8 @@ struct ResourceResult {
 /// session with pipelined submits — the same command pipeline the fleet
 /// bench exercises, measured by the same counting global allocator. The
 /// counters are process-wide, so the shard worker's allocations count
-/// too; the freelist has to actually work for this row to stay under
-/// [`POOLED_ALLOCS_PER_EVENT_MAX`].
+/// too; the pipeline's per-batch allocations have to stay amortized for
+/// this row to stay under [`POOLED_ALLOCS_PER_EVENT_MAX`].
 fn run_pooled_resources(params: &ExperimentParams, stream: &[StreamTuple]) -> ResourceResult {
     const BATCH: usize = 512;
     let cfg = sns_bench::RunConfig {
@@ -283,7 +283,7 @@ fn run_pooled_resources(params: &ExperimentParams, stream: &[StreamTuple]) -> Re
     }
     let _ = session.warm_start(&cfg.als).expect("warm start");
     // One pipelined warmup pass is already behind us (prefill batches
-    // recycle through the same freelist), so the measured window sees
+    // cross the same command pipeline), so the measured window sees
     // steady state from its first batch.
     let cpu_before = cpu_seconds();
     let (bytes_before, calls_before) = alloc_counters();

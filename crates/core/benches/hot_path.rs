@@ -230,7 +230,7 @@ fn bench_pool_round_trip(c: &mut Criterion) {
             let n = (iters as usize).min(tail.len());
             // The blocking round-trip: each batch is submit → worker
             // ingest → ack before the next, so the measurement includes
-            // the full command-pipeline cost (freelist take/put, channel
+            // the full command-pipeline cost (batch buffer copy, channel
             // hops, receipt stamping) on top of the engine work.
             let start = std::time::Instant::now();
             for chunk in tail[..n].chunks(256) {

@@ -126,11 +126,6 @@ impl SnsEngine {
         self.drain_events()
     }
 
-    /// The deltas produced by the most recent `ingest`/`advance_to` call.
-    pub fn last_deltas(&self) -> &[Delta] {
-        &self.buf
-    }
-
     /// Current window tensor.
     pub fn window(&self) -> &SparseTensor {
         self.window.tensor()

@@ -141,11 +141,6 @@ impl AnomalyCpd {
         }
     }
 
-    /// Unwraps the decorator, discarding the detector.
-    pub fn into_inner(self) -> Box<dyn StreamingCpd> {
-        self.inner
-    }
-
     /// Captures the decorator's complete live state: the wrapped
     /// engine's state plus the detector (streaming statistics, retained
     /// events) and the roll-up counters. A restored decorator scores and

@@ -73,11 +73,6 @@ impl ChaosCpd {
         &self.config
     }
 
-    /// Unwraps the decorator.
-    pub fn into_inner(self) -> Box<dyn StreamingCpd> {
-        self.inner
-    }
-
     /// Captures the decorator's state (the wrapped engine's state plus
     /// the fault plan, so a rollback restores the *decorated* engine —
     /// stripping the wrapper mid-run would turn later poisons into real

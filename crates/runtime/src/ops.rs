@@ -29,7 +29,8 @@ pub enum QuarantinePolicy {
     /// batch to the dead-letter queue, and keep serving: later batches
     /// divert to the DLQ (in order) until
     /// [`StreamSession::replay_quarantined`](crate::pool::StreamSession::replay_quarantined)
-    /// re-drives them. Costs one state capture per batch on streams of
+    /// re-drives them. Costs one state capture per coalesced batch group
+    /// (a lone batch is a group of one) on streams of
     /// capture-supporting engines; engines without capture fall back to
     /// [`QuarantinePolicy::Disabled`] behaviour (the letter is still
     /// recorded).
@@ -37,7 +38,7 @@ pub enum QuarantinePolicy {
     Rollback,
     /// Pre-PR-7 behaviour: the engine is dropped and the stream keeps
     /// reporting [`SnsError::EnginePanicked`](sns_error::SnsError)
-    /// forever. No per-batch capture cost; the panicking batch is still
+    /// forever. No capture cost; the panicking batch is still
     /// recorded to the DLQ for post-mortems.
     Disabled,
 }

@@ -24,11 +24,10 @@
 //!   [`BatchReceipt`] reporting tuples accepted and factor updates
 //!   applied, and failures are typed [`SnsError`]s carrying how far the
 //!   batch got;
-//! - the command pipeline is **zero-alloc and coalescing** at steady
-//!   state: batch buffers recycle through a per-shard freelist
-//!   (sessions take on submit, the worker returns on ack), and a shard
-//!   worker drains every consecutively queued batch (prefill or ingest)
-//!   for a stream in one channel acquisition and applies them as
+//! - the command pipeline is **coalescing**: each batch carries its
+//!   tuples in one owned buffer (dropped once the batch is applied), and
+//!   a shard worker drains every consecutively queued batch (prefill or
+//!   ingest) for a stream in one channel acquisition and applies them as
 //!   sequential per-batch engine calls under one rollback capture —
 //!   bitwise-identical to per-batch execution because the per-tuple
 //!   update sequence is untouched;
@@ -60,6 +59,7 @@ use sns_core::als::AlsOptions;
 use sns_ops::{EvictReason, PoolEvent, QuarantinedOp, StreamMetrics};
 use sns_stream::{SnsError, StreamTuple};
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
@@ -181,13 +181,16 @@ pub struct StreamReport {
 }
 
 /// The addressing every per-stream command carries: the stream, the
-/// session epoch its slot must match (`token`), and the session-local
-/// ticket the reply answers.
+/// session epoch its slot must match (`token`), the session-local
+/// ticket the reply answers, and the instant the session enqueued it.
+/// The worker sends the head back on the reply, so each receipt is
+/// stamped from its own reply.
 #[derive(Clone, Copy)]
 struct Head {
     id: u64,
     token: u64,
     ticket: u64,
+    at: Instant,
 }
 
 enum Command {
@@ -247,14 +250,17 @@ enum Command {
     Shutdown,
 }
 
+/// A batch acknowledgment as the session receives it.
+type Receipt = Result<BatchReceipt, SnsError>;
+
 enum ReplyBody {
-    Receipt(Result<BatchReceipt, SnsError>),
+    Receipt(Receipt),
     Report(Box<StreamReport>),
     Snapshot(Box<Result<EngineSnapshot, SnsError>>),
 }
 
 struct SessionReply {
-    ticket: u64,
+    head: Head,
     body: ReplyBody,
 }
 
@@ -262,7 +268,7 @@ fn mismatched_reply() -> SnsError {
     SnsError::Internal { detail: "a command was answered with the wrong reply kind".to_string() }
 }
 
-fn into_receipt(body: ReplyBody) -> Result<BatchReceipt, SnsError> {
+fn into_receipt(body: ReplyBody) -> Receipt {
     match body {
         ReplyBody::Receipt(r) => r,
         _ => Err(mismatched_reply()),
@@ -278,58 +284,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .map(|s| s.to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "unknown panic payload".to_string())
-}
-
-/// Per-shard freelist of recycled batch tuple buffers.
-///
-/// A session `take`s a buffer to carry a batch's tuples to its shard
-/// worker; the worker `put`s the buffer back once the batch has been
-/// acknowledged and journaled (batches diverted to the dead-letter
-/// queue keep their buffer — the letter owns those tuples). At steady
-/// state pooled ingest therefore cycles a small set of allocations
-/// instead of allocating a fresh `Vec` per batch; `bench resources
-/// --pooled` measures the resulting allocs/event.
-///
-/// Buffers are cleared on `put`, so a recycled buffer can never leak
-/// one stream's tuples into another stream's batch, and the freelist
-/// is bounded so a burst cannot pin memory. The mutex is leaf-level:
-/// `take`/`put` are O(1) under the lock and never run while another
-/// lock is held.
-#[derive(Clone)]
-struct BufferPool {
-    inner: Arc<Mutex<Vec<Vec<StreamTuple>>>>,
-}
-
-impl BufferPool {
-    /// Freelist bound: deeper than any queue's worth of in-flight
-    /// batches needs, small enough that a burst's buffers are released.
-    const MAX_POOLED: usize = 64;
-
-    fn new() -> Self {
-        BufferPool { inner: Arc::new(Mutex::new(Vec::new())) }
-    }
-
-    /// A buffer holding a copy of `tuples` — a recycled allocation when
-    /// one is pooled (and large enough from past use), fresh otherwise.
-    fn take(&self, tuples: &[StreamTuple]) -> Vec<StreamTuple> {
-        let mut buf =
-            self.inner.lock().expect("buffer freelist poisoned").pop().unwrap_or_default();
-        debug_assert!(buf.is_empty(), "pooled buffer not cleared on put");
-        buf.extend_from_slice(tuples);
-        buf
-    }
-
-    /// Returns a buffer to the freelist, cleared.
-    fn put(&self, mut buf: Vec<StreamTuple>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        buf.clear();
-        let mut pool = self.inner.lock().expect("buffer freelist poisoned");
-        if pool.len() < Self::MAX_POOLED {
-            pool.push(buf);
-        }
-    }
 }
 
 struct StreamSlot {
@@ -432,21 +386,21 @@ impl StreamSlot {
     }
 
     /// Sends a reply; the session may have hung up.
-    fn reply(&self, ticket: u64, body: ReplyBody) {
-        let _ = self.replies.send(SessionReply { ticket, body });
+    fn reply(&self, head: Head, body: ReplyBody) {
+        let _ = self.replies.send(SessionReply { head, body });
     }
 
     /// Sends a batch acknowledgment. Latency is stamped session-side
     /// when the receipt is pulled.
-    fn acknowledge(&self, ticket: u64, outcome: Result<BatchOutcome, SnsError>) {
+    fn acknowledge(&self, head: Head, outcome: Result<BatchOutcome, SnsError>) {
         let receipt = outcome.map(|o| BatchReceipt {
             stream_id: self.id,
-            ticket,
+            ticket: head.ticket,
             accepted: o.accepted,
             updates: o.updates,
             latency: Duration::ZERO,
         });
-        self.reply(ticket, ReplyBody::Receipt(receipt));
+        self.reply(head, ReplyBody::Receipt(receipt));
     }
 
     fn report(&mut self) -> StreamReport {
@@ -492,7 +446,7 @@ impl StreamSlot {
 
 /// One batch of a coalesced group.
 struct Segment {
-    ticket: u64,
+    head: Head,
     op: QuarantinedOp,
     tuples: Vec<StreamTuple>,
 }
@@ -504,7 +458,6 @@ struct Worker {
     ops: PoolOps,
     policy: QuarantinePolicy,
     journal: Option<Arc<dyn BatchJournal>>,
-    buffers: BufferPool,
 }
 
 impl Worker {
@@ -524,12 +477,12 @@ impl Worker {
     fn install(
         &self,
         slots: &mut HashMap<u64, StreamSlot>,
-        ticket: u64,
+        head: Head,
         slot: StreamSlot,
         event: Option<PoolEvent>,
     ) {
         let id = slot.id;
-        slot.acknowledge(ticket, slot.error.clone().map_or(Ok(NOTHING), Err));
+        slot.acknowledge(head, slot.error.clone().map_or(Ok(NOTHING), Err));
         if slots.insert(id, slot).is_some() {
             self.evicted(id, EvictReason::Replaced);
         }
@@ -560,7 +513,7 @@ impl Worker {
     /// batch arriving after the panic.
     ///
     /// Applied segments keep their buffers in `group` (a rollback may
-    /// re-apply them); the caller recycles them.
+    /// re-apply them); the caller drops them.
     fn apply_group(&self, s: &mut StreamSlot, group: &mut [Segment]) {
         fn run(
             engine: &mut dyn StreamingCpd,
@@ -580,9 +533,10 @@ impl Worker {
         };
         let (mut batches, mut accepted, mut updates, mut errors) = (0u64, 0u64, 0u64, 0u64);
         for k in 0..group.len() {
-            let (ticket, op) = (group[k].ticket, group[k].op);
+            let (head, op) = (group[k].head, group[k].op);
+            let ticket = head.ticket;
             let Some(engine) = s.engine.as_mut().filter(|_| !s.quarantined) else {
-                self.reject(s, ticket, op, std::mem::take(&mut group[k].tuples));
+                self.reject(s, head, op, std::mem::take(&mut group[k].tuples));
                 continue;
             };
             // The anomaly counter is read after every segment so the
@@ -612,7 +566,7 @@ impl Worker {
                             s.error.get_or_insert(e.clone());
                         }
                     }
-                    s.acknowledge(ticket, outcome);
+                    s.acknowledge(head, outcome);
                     // A typed error is journaled in full too: the engine
                     // applied the accepted prefix, and deterministic
                     // replay of the same tuples reproduces exactly that
@@ -649,7 +603,7 @@ impl Worker {
                     });
                     s.quarantined = s.engine.is_some();
                     self.divert(s, ticket, op, std::mem::take(&mut group[k].tuples), e.clone());
-                    s.acknowledge(ticket, Err(e));
+                    s.acknowledge(head, Err(e));
                 }
             }
         }
@@ -666,16 +620,15 @@ impl Worker {
     /// Refuses a batch the slot cannot apply. A quarantined stream
     /// diverts it to the dead-letter queue behind the batch that
     /// panicked, keeping the stream's chronology for the replay; a dark
-    /// slot recycles its buffer and acknowledges with the sticky error.
-    fn reject(&self, s: &StreamSlot, ticket: u64, op: QuarantinedOp, tuples: Vec<StreamTuple>) {
+    /// slot drops the batch and acknowledges with the sticky error.
+    fn reject(&self, s: &StreamSlot, head: Head, op: QuarantinedOp, tuples: Vec<StreamTuple>) {
         if s.quarantined {
             let pending = self.ops.dlq().pending(s.id) + 1;
             let err = SnsError::StreamQuarantined { stream_id: s.id, pending };
-            self.divert(s, ticket, op, tuples, err.clone());
-            s.acknowledge(ticket, Err(err));
+            self.divert(s, head.ticket, op, tuples, err.clone());
+            s.acknowledge(head, Err(err));
         } else {
-            self.buffers.put(tuples);
-            s.acknowledge(ticket, Err(s.dark_error()));
+            s.acknowledge(head, Err(s.dark_error()));
         }
     }
 
@@ -708,15 +661,13 @@ impl Worker {
     fn control(
         &self,
         s: &mut StreamSlot,
-        ticket: u64,
+        head: Head,
         jop: JournalOp<'_>,
         f: impl FnOnce(&mut dyn StreamingCpd) -> BatchOutcome,
     ) {
         let outcome = if s.quarantined {
-            Err(SnsError::StreamQuarantined {
-                stream_id: s.id,
-                pending: self.ops.dlq().pending(s.id),
-            })
+            let pending = self.ops.dlq().pending(s.id);
+            Err(SnsError::StreamQuarantined { stream_id: s.id, pending })
         } else {
             s.guard(|e| Ok(f(e)))
         };
@@ -724,9 +675,9 @@ impl Worker {
             s.metrics.errors.fetch_add(1, Ordering::Relaxed);
         }
         let applied = outcome.is_ok();
-        s.acknowledge(ticket, outcome);
+        s.acknowledge(head, outcome);
         if applied {
-            self.record(s, ticket, jop);
+            self.record(s, head.ticket, jop);
         }
     }
 
@@ -745,6 +696,16 @@ impl Worker {
         let (shard, seq) = (self.shard, s.wal_seq);
         self.publish(PoolEvent::BatchApplied { stream_id: s.id, shard, units, seq });
     }
+}
+
+/// Passes a send's result through, counting a command that entered
+/// `shard`'s queue into its queue-depth gauge (the worker decrements on
+/// receive, so the gauge reads commands in flight).
+fn enqueued<E>(ops: &PoolOps, shard: usize, sent: Result<(), E>) -> Result<(), E> {
+    if sent.is_ok() {
+        ops.metrics().shard(shard).queue_depth.fetch_add(1, Ordering::Relaxed);
+    }
+    sent
 }
 
 fn worker_loop(w: Worker, rx: Receiver<Command>) {
@@ -787,7 +748,7 @@ fn worker_loop(w: Worker, rx: Receiver<Command>) {
                     shard: w.shard,
                     engine: slot.name.clone(),
                 });
-                w.install(&mut slots, head.ticket, slot, opened);
+                w.install(&mut slots, head, slot, opened);
             }
             Command::Restore { head, snapshot, replies } => {
                 let EngineSnapshot { spec, seed, state, wal_seq, .. } = *snapshot;
@@ -797,13 +758,13 @@ fn worker_loop(w: Worker, rx: Receiver<Command>) {
                             StreamSlot::new(&w, head, spec, seed, Ok(engine), wal_seq, replies);
                         let migrated =
                             PoolEvent::StreamMigrated { stream_id: head.id, shard: w.shard };
-                        w.install(&mut slots, head.ticket, slot, Some(migrated));
+                        w.install(&mut slots, head, slot, Some(migrated));
                     }
                     Err(e) => {
                         // An inconsistent snapshot installs nothing; the
                         // caller sees the typed error on the open ack.
                         let body = ReplyBody::Receipt(Err(e));
-                        let _ = replies.send(SessionReply { ticket: head.ticket, body });
+                        let _ = replies.send(SessionReply { head, body });
                     }
                 }
             }
@@ -814,23 +775,19 @@ fn worker_loop(w: Worker, rx: Receiver<Command>) {
                 // for a different stream (or of a different kind) is
                 // carried into the next loop turn, preserving global
                 // submission order.
-                group.push(Segment { ticket: head.ticket, op, tuples });
-                let mut drained = 0u64;
+                group.push(Segment { head, op, tuples });
                 while carry.is_none() {
                     match rx.try_recv() {
                         Ok(Command::Batch { head: next, op, tuples })
                             if next.id == head.id && next.token == head.token =>
                         {
-                            drained += 1;
-                            group.push(Segment { ticket: next.ticket, op, tuples });
+                            group.push(Segment { head: next, op, tuples });
                         }
-                        Ok(other) => {
-                            drained += 1;
-                            carry = Some(other);
-                        }
+                        Ok(other) => carry = Some(other),
                         Err(_) => break,
                     }
                 }
+                let drained = (group.len() - 1 + usize::from(carry.is_some())) as u64;
                 if drained > 0 {
                     shard_metrics.queue_depth.fetch_sub(drained as i64, Ordering::Relaxed);
                     shard_metrics.commands.fetch_add(drained, Ordering::Relaxed);
@@ -839,15 +796,12 @@ fn worker_loop(w: Worker, rx: Receiver<Command>) {
                 if let Some(s) = live(&mut slots, head) {
                     w.apply_group(s, &mut group);
                 }
-                // Recycle every buffer the group still owns; a stale
-                // session's batches are simply dropped here.
-                for seg in group.drain(..) {
-                    w.buffers.put(seg.tuples);
-                }
+                // Drops the group's buffers, a stale session's included.
+                group.clear();
             }
             Command::WarmStart { head, opts } => {
                 if let Some(s) = live(&mut slots, head) {
-                    w.control(s, head.ticket, JournalOp::WarmStart(&opts), |e| {
+                    w.control(s, head, JournalOp::WarmStart(&opts), |e| {
                         e.warm_start(&opts);
                         NOTHING
                     });
@@ -855,7 +809,7 @@ fn worker_loop(w: Worker, rx: Receiver<Command>) {
             }
             Command::AdvanceTo { head, t } => {
                 if let Some(s) = live(&mut slots, head) {
-                    w.control(s, head.ticket, JournalOp::AdvanceTo(t), |e| BatchOutcome {
+                    w.control(s, head, JournalOp::AdvanceTo(t), |e| BatchOutcome {
                         accepted: 0,
                         updates: e.advance_to(t) as u64,
                     });
@@ -870,18 +824,18 @@ fn worker_loop(w: Worker, rx: Receiver<Command>) {
                     } else {
                         Err(s.dark_error())
                     };
-                    s.acknowledge(head.ticket, outcome);
+                    s.acknowledge(head, outcome);
                 }
             }
             Command::Report(head) => {
                 if let Some(s) = live(&mut slots, head) {
                     let report = Box::new(s.report());
-                    s.reply(head.ticket, ReplyBody::Report(report));
+                    s.reply(head, ReplyBody::Report(report));
                 }
             }
             Command::Snapshot(head) => {
                 if let Some(s) = live(&mut slots, head) {
-                    s.reply(head.ticket, ReplyBody::Snapshot(Box::new(s.capture())));
+                    s.reply(head, ReplyBody::Snapshot(Box::new(s.capture())));
                 }
             }
             Command::Close(head) => {
@@ -891,9 +845,8 @@ fn worker_loop(w: Worker, rx: Receiver<Command>) {
                 }
             }
             Command::CheckpointShard { replies } => {
-                let mut out: CheckpointResults =
-                    slots.iter().map(|(&id, s)| (id, s.capture())).collect();
-                out.sort_by_key(|&(id, _)| id);
+                let out = slots.iter().map(|(&id, s)| (id, s.capture())).collect();
+                shard_metrics.checkpoints.fetch_add(1, Ordering::Relaxed);
                 let _ = replies.send(out);
             }
             Command::Evict { id } => {
@@ -916,9 +869,6 @@ pub struct EnginePool {
     queue_depth: usize,
     next_token: AtomicU64,
     ops: PoolOps,
-    /// Per-shard freelists of recycled batch buffers; sessions take
-    /// from their shard's freelist, the worker returns on ack.
-    buffer_pools: Vec<BufferPool>,
     /// Which shard currently owns each stream id, if any. The outer lock
     /// only guards map shape (get-or-insert of a cell) and is never held
     /// across a channel send; the per-stream cell serializes
@@ -936,16 +886,13 @@ impl EnginePool {
         let ops = PoolOps::new(shards, queue_depth, cfg.bus_capacity.max(1));
         let mut senders = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
-        let mut buffer_pools = Vec::with_capacity(shards);
         for i in 0..shards {
             let (tx, rx) = sync_channel::<Command>(queue_depth);
-            let buffers = BufferPool::new();
             let worker = Worker {
                 shard: i,
                 ops: ops.clone(),
                 policy: cfg.quarantine,
                 journal: cfg.journal.clone(),
-                buffers: buffers.clone(),
             };
             let handle = std::thread::Builder::new()
                 .name(format!("sns-pool-{i}"))
@@ -953,7 +900,6 @@ impl EnginePool {
                 .expect("spawn engine pool worker");
             senders.push(tx);
             workers.push(handle);
-            buffer_pools.push(buffers);
         }
         EnginePool {
             senders,
@@ -962,7 +908,6 @@ impl EnginePool {
             queue_depth,
             next_token: AtomicU64::new(0),
             ops,
-            buffer_pools,
             owners: Mutex::new(HashMap::new()),
         }
     }
@@ -979,10 +924,10 @@ impl EnginePool {
         &self.ops
     }
 
-    /// Counts a command entering `shard`'s queue (the worker decrements
-    /// on receive, so the gauge reads commands in flight).
-    fn track_send(&self, shard: usize) {
-        self.ops.metrics().shard(shard).queue_depth.fetch_add(1, Ordering::Relaxed);
+    /// Enqueues `cmd` on `shard`, blocking for queue space; `false` if
+    /// the worker is gone.
+    fn send(&self, shard: usize, cmd: Command) -> bool {
+        enqueued(&self.ops, shard, self.senders[shard].send(cmd)).is_ok()
     }
 
     /// Which worker serves a stream id (stable for the pool's lifetime).
@@ -1068,35 +1013,33 @@ impl EnginePool {
         };
         let mut owner = cell.lock().expect("ownership cell poisoned");
         if let Some(prev) = owner.replace(shard).filter(|&p| p != shard) {
-            if self.senders[prev].send(Command::Evict { id: stream_id }).is_ok() {
-                self.track_send(prev);
-            }
+            self.send(prev, Command::Evict { id: stream_id });
         }
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
         let (reply_tx, reply_rx) = channel();
-        let tx = self.senders[shard].clone();
-        let head = Head { id: stream_id, token, ticket: 0 };
-        tx.send(make(head, reply_tx)).map_err(|_| SnsError::StreamClosed { stream_id })?;
-        self.track_send(shard);
+        let head = Head { id: stream_id, token, ticket: 0, at: sns_ops::clock::now() };
+        if !self.send(shard, make(head, reply_tx)) {
+            return Err(SnsError::StreamClosed { stream_id });
+        }
         drop(owner);
-        let metrics = self.ops.metrics().stream(stream_id);
-        let mut session = StreamSession {
+        let session = StreamSession {
             stream_id,
             shard,
             token,
             queue_depth: self.queue_depth,
-            tx,
+            tx: self.senders[shard].clone(),
             rx: reply_rx,
             next_ticket: 1,
             buffered: VecDeque::new(),
             unclaimed: 0,
             closed: false,
             ops: self.ops.clone(),
-            metrics,
-            buffers: self.buffer_pools[shard].clone(),
-            pending_at: VecDeque::new(),
+            metrics: self.ops.metrics().stream(stream_id),
         };
-        let _ = into_receipt(session.wait_for(0)?)?;
+        // The install's ack is the session's first reply. It is not a
+        // batch receipt, so it is neither stamped nor recorded.
+        let reply = session.rx.recv().map_err(|_| session.closed_err())?;
+        let _ = into_receipt(reply.body)?;
         Ok(session)
     }
 
@@ -1115,30 +1058,7 @@ impl EnginePool {
     /// all outstanding receipts); in-flight batches submitted *after*
     /// this call may or may not be included.
     pub fn checkpoint_all(&self) -> CheckpointResults {
-        let (tx, rx) = channel();
-        let mut expected = 0usize;
-        for (i, sender) in self.senders.iter().enumerate() {
-            if sender.send(Command::CheckpointShard { replies: tx.clone() }).is_ok() {
-                self.track_send(i);
-                expected += 1;
-            }
-        }
-        drop(tx);
-        let mut all: Vec<(u64, Result<EngineSnapshot, SnsError>)> = Vec::new();
-        for _ in 0..expected {
-            match rx.recv() {
-                Ok(mut shard) => all.append(&mut shard),
-                Err(_) => break, // worker gone; its streams are lost
-            }
-        }
-        all.sort_by_key(|&(id, _)| id);
-        for i in 0..self.senders.len() {
-            self.ops.metrics().shard(i).checkpoints.fetch_add(1, Ordering::Relaxed);
-        }
-        if self.ops.bus().has_subscribers() {
-            self.ops.bus().publish(PoolEvent::CheckpointCommitted { streams: all.len() });
-        }
-        all
+        self.checkpoint(0..self.senders.len()).0
     }
 
     /// Checkpoints the live streams of **one** shard — the amortized
@@ -1154,20 +1074,34 @@ impl EnginePool {
     /// [`SnsError::StreamClosed`] (stream 0) if the pool is shutting
     /// down and the worker is gone.
     pub fn checkpoint_shard(&self, shard: usize) -> Result<CheckpointResults, SnsError> {
-        let Some(sender) = self.senders.get(shard) else {
+        if shard >= self.senders.len() {
             return Err(SnsError::ShardOutOfRange { shard, shards: self.senders.len() });
-        };
-        let (tx, rx) = channel();
-        sender
-            .send(Command::CheckpointShard { replies: tx })
-            .map_err(|_| SnsError::StreamClosed { stream_id: 0 })?;
-        self.track_send(shard);
-        let out = rx.recv().map_err(|_| SnsError::StreamClosed { stream_id: 0 })?;
-        self.ops.metrics().shard(shard).checkpoints.fetch_add(1, Ordering::Relaxed);
-        if self.ops.bus().has_subscribers() {
-            self.ops.bus().publish(PoolEvent::CheckpointCommitted { streams: out.len() });
         }
-        Ok(out)
+        match self.checkpoint(shard..shard + 1) {
+            (out, true) => Ok(out),
+            (_, false) => Err(SnsError::StreamClosed { stream_id: 0 }),
+        }
+    }
+
+    /// Sends `CheckpointShard` to every shard in `shards` before
+    /// collecting any reply, so the shards capture concurrently. Returns
+    /// the captures sorted by stream id and whether every shard answered
+    /// (a worker that is gone loses its streams); only a complete
+    /// checkpoint publishes [`PoolEvent::CheckpointCommitted`].
+    fn checkpoint(&self, shards: Range<usize>) -> (CheckpointResults, bool) {
+        let expected = shards.len();
+        let (tx, rx) = channel();
+        let request = || Command::CheckpointShard { replies: tx.clone() };
+        let sent = shards.filter(|&i| self.send(i, request())).count();
+        drop(tx);
+        let replies: Vec<CheckpointResults> = rx.iter().take(sent).collect();
+        let complete = replies.len() == expected;
+        let mut all: CheckpointResults = replies.into_iter().flatten().collect();
+        all.sort_by_key(|&(id, _)| id);
+        if complete && self.ops.bus().has_subscribers() {
+            self.ops.bus().publish(PoolEvent::CheckpointCommitted { streams: all.len() });
+        }
+        (all, complete)
     }
 
     /// Rebuilds every snapshotted stream on this pool, each on its
@@ -1200,11 +1134,9 @@ impl EnginePool {
     }
 
     fn shutdown(&mut self) {
-        for (i, tx) in self.senders.iter().enumerate() {
+        for i in 0..self.senders.len() {
             // Workers that already exited are fine to ignore.
-            if tx.send(Command::Shutdown).is_ok() {
-                self.track_send(i);
-            }
+            self.send(i, Command::Shutdown);
         }
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -1247,19 +1179,13 @@ pub struct StreamSession {
     next_ticket: u64,
     /// Receipts for pipelined batches that arrived while a blocking call
     /// was waiting for its own reply; handed out FIFO by `recv_receipt`.
-    buffered: VecDeque<Result<BatchReceipt, SnsError>>,
+    buffered: VecDeque<Receipt>,
     /// Pipelined batches whose receipts the caller has not collected.
     unclaimed: usize,
     closed: bool,
     ops: PoolOps,
     /// This stream's metrics handle (latency histogram, replay counter).
     metrics: Arc<StreamMetrics>,
-    /// The shard's batch-buffer freelist: batch submissions reuse
-    /// acknowledged batches' allocations instead of allocating.
-    buffers: BufferPool,
-    /// Enqueue timestamps of outstanding receipt-bearing commands, in
-    /// ticket order; receipts are stamped with `enqueue → pull` latency.
-    pending_at: VecDeque<(u64, Instant)>,
 }
 
 impl StreamSession {
@@ -1278,8 +1204,9 @@ impl StreamSession {
         self.unclaimed
     }
 
+    /// A command head for `ticket`, stamped with the enqueue instant.
     fn head(&self, ticket: u64) -> Head {
-        Head { id: self.stream_id, token: self.token, ticket }
+        Head { id: self.stream_id, token: self.token, ticket, at: sns_ops::clock::now() }
     }
 
     fn closed_err(&self) -> SnsError {
@@ -1290,121 +1217,68 @@ impl StreamSession {
     /// that actually has to wait publishes edge-triggered
     /// [`PoolEvent::BackpressureOnset`] / [`PoolEvent::BackpressureRelief`]
     /// events around the stall.
-    fn submit(&mut self, cmd: Command) -> Result<(), SnsError> {
-        let gauge = &self.ops.metrics().shard(self.shard).queue_depth;
-        match self.tx.try_send(cmd) {
-            Ok(()) => {
-                gauge.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(TrySendError::Full(cmd)) => {
-                let observed = self.ops.bus().has_subscribers();
-                if observed {
-                    self.ops.bus().publish(PoolEvent::BackpressureOnset {
-                        stream_id: self.stream_id,
-                        shard: self.shard,
-                        depth: self.ops.metrics().shard(self.shard).depth(),
-                        capacity: self.queue_depth,
-                    });
-                }
-                let sent = self.tx.send(cmd).map_err(|_| self.closed_err());
-                if sent.is_ok() {
-                    gauge.fetch_add(1, Ordering::Relaxed);
-                    if observed {
-                        self.ops.bus().publish(PoolEvent::BackpressureRelief {
-                            stream_id: self.stream_id,
-                            shard: self.shard,
-                        });
-                    }
-                }
-                sent
-            }
-            Err(TrySendError::Disconnected(_)) => Err(self.closed_err()),
+    fn submit(&self, cmd: Command) -> Result<(), SnsError> {
+        let cmd = match enqueued(&self.ops, self.shard, self.tx.try_send(cmd)) {
+            Ok(()) => return Ok(()),
+            Err(TrySendError::Full(cmd)) => cmd,
+            Err(TrySendError::Disconnected(_)) => return Err(self.closed_err()),
+        };
+        let observed = self.ops.bus().has_subscribers();
+        if observed {
+            self.ops.bus().publish(PoolEvent::BackpressureOnset {
+                stream_id: self.stream_id,
+                shard: self.shard,
+                depth: self.ops.metrics().shard(self.shard).depth(),
+                capacity: self.queue_depth,
+            });
         }
+        enqueued(&self.ops, self.shard, self.tx.send(cmd)).map_err(|_| self.closed_err())?;
+        if observed {
+            self.ops.bus().publish(PoolEvent::BackpressureRelief {
+                stream_id: self.stream_id,
+                shard: self.shard,
+            });
+        }
+        Ok(())
     }
 
-    /// Submit of a receipt-bearing command: remembers the enqueue time
-    /// so the receipt can be stamped with its latency.
-    fn submit_timed(&mut self, ticket: u64, cmd: Command) -> Result<(), SnsError> {
-        self.pending_at.push_back((ticket, sns_ops::clock::now()));
-        let sent = self.submit(cmd);
-        if sent.is_err() {
-            self.pending_at.pop_back();
-        }
-        sent
-    }
-
-    /// Submits a command under the next ticket (timed, blocking for
-    /// queue space) and waits for its reply.
+    /// Submits a command under the next ticket (blocking for queue
+    /// space) and waits for its reply, buffering receipts of earlier
+    /// pipelined batches for later [`StreamSession::recv_receipt`] calls.
     fn call(&mut self, make: impl FnOnce(Head) -> Command) -> Result<ReplyBody, SnsError> {
         let ticket = self.next_ticket;
         self.next_ticket += 1;
-        self.submit_timed(ticket, make(self.head(ticket)))?;
-        self.wait_for(ticket)
-    }
-
-    /// Submits one tuple batch and blocks for its receipt.
-    fn batch(
-        &mut self,
-        op: QuarantinedOp,
-        tuples: &[StreamTuple],
-    ) -> Result<BatchReceipt, SnsError> {
-        let tuples = self.buffers.take(tuples);
-        self.call(|head| Command::Batch { head, op, tuples }).and_then(into_receipt)
-    }
-
-    /// Retires the enqueue timestamps of every ticket up to `ticket`
-    /// (replies arrive in ticket order) and returns `ticket`'s own.
-    fn enqueued_at(&mut self, ticket: u64) -> Option<Instant> {
-        let mut enqueued = None;
-        while let Some(&(t, at)) = self.pending_at.front() {
-            if t > ticket {
-                break;
-            }
-            self.pending_at.pop_front();
-            if t == ticket {
-                enqueued = Some(at);
-            }
-        }
-        enqueued
-    }
-
-    /// Stamps a pulled receipt with its enqueue→ack latency and records
-    /// it into the stream's histogram.
-    fn stamp_receipt(
-        &mut self,
-        ticket: u64,
-        r: Result<BatchReceipt, SnsError>,
-    ) -> Result<BatchReceipt, SnsError> {
-        match (r, self.enqueued_at(ticket)) {
-            (Ok(mut receipt), Some(at)) => {
-                receipt.latency = at.elapsed();
-                self.metrics.latency.record(receipt.latency);
-                Ok(receipt)
-            }
-            (r, _) => r,
-        }
-    }
-
-    /// Waits for the reply to `ticket`, buffering receipts of earlier
-    /// pipelined batches for later [`StreamSession::recv_receipt`] calls.
-    fn wait_for(&mut self, ticket: u64) -> Result<ReplyBody, SnsError> {
+        self.submit(make(self.head(ticket)))?;
         loop {
-            let reply = self.rx.recv().map_err(|_| self.closed_err())?;
-            let body = match reply.body {
-                ReplyBody::Receipt(r) => ReplyBody::Receipt(self.stamp_receipt(reply.ticket, r)),
-                other => {
-                    self.enqueued_at(reply.ticket);
-                    other
-                }
+            let SessionReply { head, body } = self.rx.recv().map_err(|_| self.closed_err())?;
+            let body = match body {
+                ReplyBody::Receipt(r) => ReplyBody::Receipt(self.stamp_receipt(head, r)),
+                other => other,
             };
-            if reply.ticket == ticket {
+            if head.ticket == ticket {
                 return Ok(body);
             }
             if let ReplyBody::Receipt(r) = body {
                 self.buffered.push_back(r);
             }
         }
+    }
+
+    /// Submits one tuple batch and blocks for its receipt.
+    fn batch(&mut self, op: QuarantinedOp, tuples: &[StreamTuple]) -> Receipt {
+        let tuples = tuples.to_vec();
+        self.call(|head| Command::Batch { head, op, tuples }).and_then(into_receipt)
+    }
+
+    /// Stamps a pulled receipt with its enqueue→pull latency (the
+    /// enqueue instant rides back on the reply's head) and records it
+    /// into the stream's histogram.
+    fn stamp_receipt(&self, head: Head, r: Receipt) -> Receipt {
+        r.map(|mut receipt| {
+            receipt.latency = sns_ops::clock::elapsed(head.at);
+            self.metrics.latency.record(receipt.latency);
+            receipt
+        })
     }
 
     /// Ingests a batch into the window **without** factor updates
@@ -1437,29 +1311,20 @@ impl StreamSession {
     /// [`StreamSession::recv_receipt`] / [`StreamSession::try_recv_receipt`].
     pub fn try_ingest_batch(&mut self, tuples: &[StreamTuple]) -> Result<u64, SnsError> {
         let ticket = self.next_ticket;
-        let tuples = self.buffers.take(tuples);
-        let cmd = Command::Batch { head: self.head(ticket), op: QuarantinedOp::Ingest, tuples };
-        match self.tx.try_send(cmd) {
+        let (op, tuples) = (QuarantinedOp::Ingest, tuples.to_vec());
+        let cmd = Command::Batch { head: self.head(ticket), op, tuples };
+        match enqueued(&self.ops, self.shard, self.tx.try_send(cmd)) {
             Ok(()) => {
-                self.ops.metrics().shard(self.shard).queue_depth.fetch_add(1, Ordering::Relaxed);
-                self.pending_at.push_back((ticket, sns_ops::clock::now()));
                 self.next_ticket += 1;
                 self.unclaimed += 1;
                 Ok(ticket)
             }
-            Err(TrySendError::Full(cmd)) => {
-                // Nothing was enqueued: recover the batch's buffer so a
-                // backpressure storm doesn't bleed allocations.
-                if let Command::Batch { tuples, .. } = cmd {
-                    self.buffers.put(tuples);
-                }
-                Err(SnsError::Backpressure {
-                    stream_id: self.stream_id,
-                    shard: self.shard,
-                    depth: self.ops.metrics().shard(self.shard).depth(),
-                    capacity: self.queue_depth,
-                })
-            }
+            Err(TrySendError::Full(_)) => Err(SnsError::Backpressure {
+                stream_id: self.stream_id,
+                shard: self.shard,
+                depth: self.ops.metrics().shard(self.shard).depth(),
+                capacity: self.queue_depth,
+            }),
             Err(TrySendError::Disconnected(_)) => Err(self.closed_err()),
         }
     }
@@ -1478,7 +1343,7 @@ impl StreamSession {
 
     /// The receipt reader behind [`StreamSession::recv_receipt`]
     /// (`block`) and [`StreamSession::try_recv_receipt`].
-    fn next_receipt(&mut self, block: bool) -> Option<Result<BatchReceipt, SnsError>> {
+    fn next_receipt(&mut self, block: bool) -> Option<Receipt> {
         if let Some(r) = self.buffered.pop_front() {
             self.unclaimed -= 1;
             return Some(r);
@@ -1493,9 +1358,9 @@ impl StreamSession {
                 self.rx.try_recv()
             };
             match reply {
-                Ok(SessionReply { ticket, body: ReplyBody::Receipt(r) }) => {
+                Ok(SessionReply { head, body: ReplyBody::Receipt(r) }) => {
                     self.unclaimed -= 1;
-                    return Some(self.stamp_receipt(ticket, r));
+                    return Some(self.stamp_receipt(head, r));
                 }
                 // Only pipelined receipts can be outstanding here.
                 Ok(_) => continue,
@@ -1568,8 +1433,7 @@ impl StreamSession {
         }
         let mut replayed = 0usize;
         let mut first_err: Option<SnsError> = None;
-        let mut i = 0usize;
-        while i < letters.len() {
+        for i in 0..letters.len() {
             match self.batch(letters[i].op, &letters[i].tuples) {
                 Ok(_) => {
                     replayed += 1;
@@ -1595,31 +1459,22 @@ impl StreamSession {
                     return Err(e);
                 }
             }
-            i += 1;
         }
-        match first_err {
-            None => Ok(replayed),
-            Some(e) => Err(e),
-        }
+        first_err.map_or(Ok(replayed), Err)
     }
 
     /// Closes the stream: its engine is dropped once the worker drains
     /// the queued commands. Blocks only for queue space.
     pub fn close(mut self) {
         self.closed = true;
-        if self.tx.send(Command::Close(self.head(0))).is_ok() {
-            self.ops.metrics().shard(self.shard).queue_depth.fetch_add(1, Ordering::Relaxed);
-        }
+        let _ = enqueued(&self.ops, self.shard, self.tx.send(Command::Close(self.head(0))));
     }
 }
 
 impl std::fmt::Debug for StreamSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "StreamSession(stream={}, shard={}, in_flight={})",
-            self.stream_id, self.shard, self.unclaimed
-        )
+        let (stream, shard, in_flight) = (self.stream_id, self.shard, self.unclaimed);
+        write!(f, "StreamSession(stream={stream}, shard={shard}, in_flight={in_flight})")
     }
 }
 
@@ -1628,9 +1483,7 @@ impl Drop for StreamSession {
         if !self.closed {
             // Best-effort: if the shard queue is full the slot lives
             // until the pool shuts down. `close(self)` is reliable.
-            if self.tx.try_send(Command::Close(self.head(0))).is_ok() {
-                self.ops.metrics().shard(self.shard).queue_depth.fetch_add(1, Ordering::Relaxed);
-            }
+            let _ = enqueued(&self.ops, self.shard, self.tx.try_send(Command::Close(self.head(0))));
         }
     }
 }
@@ -1650,28 +1503,6 @@ mod tests {
         (0..120u64)
             .map(|t| StreamTuple::new([((t + id) % 4) as u32, ((t * 3 + id) % 3) as u32], 1.0, t))
             .collect()
-    }
-
-    #[test]
-    fn batch_buffers_recycle_cleared_and_bounded() {
-        let freelist = BufferPool::new();
-        let tuples = tuples_for(1);
-        let buf = freelist.take(&tuples[..8]);
-        assert_eq!(buf.len(), 8);
-        let cap = buf.capacity();
-        freelist.put(buf);
-        // Recycled allocation, contents fully replaced — no stale tuples.
-        let again = freelist.take(&tuples[..2]);
-        assert_eq!(again.capacity(), cap, "allocation not recycled");
-        assert_eq!(again.as_slice(), &tuples[..2]);
-        // Capacity-0 buffers are not worth pooling.
-        freelist.put(Vec::new());
-        assert!(freelist.inner.lock().unwrap().is_empty());
-        // A burst cannot pin unbounded memory in the freelist.
-        for _ in 0..(2 * BufferPool::MAX_POOLED) {
-            freelist.put(Vec::with_capacity(4));
-        }
-        assert_eq!(freelist.inner.lock().unwrap().len(), BufferPool::MAX_POOLED);
     }
 
     #[test]

@@ -76,11 +76,6 @@ impl DiscreteWindow {
         self.period
     }
 
-    /// Window length `W`.
-    pub fn window_size(&self) -> usize {
-        self.window
-    }
-
     /// Number of completed periods so far.
     pub fn periods_completed(&self) -> u64 {
         self.periods_completed

@@ -71,12 +71,6 @@ impl ContinuousWindow {
         self.period
     }
 
-    /// Window length `W` (number of time-mode indices).
-    #[inline]
-    pub fn window_size(&self) -> usize {
-        self.window
-    }
-
     /// Index of the time mode (the last mode).
     #[inline]
     pub fn time_mode(&self) -> usize {

@@ -498,12 +498,11 @@ proptest! {
         pool.join();
     }
 
-    /// Recycled batch buffers (PR 10 freelist) must never leak tuples
-    /// across streams: two streams of different engine families share
-    /// one shard — hence one buffer freelist — with interleaved
-    /// pipelined batches of different sizes, so every submission reuses
-    /// a buffer the *other* stream just released. Both must still match
-    /// their serial references bitwise.
+    /// Batch buffers must never leak tuples across streams: two streams
+    /// of different engine families share one shard — hence one command
+    /// queue and one coalescing worker — with interleaved pipelined
+    /// batches of different sizes. Both must still match their serial
+    /// references bitwise.
     #[test]
     fn recycled_buffers_never_leak_tuples_across_streams(
         case_seed in 0u64..1_000,
@@ -539,7 +538,7 @@ proptest! {
             .collect();
 
         let pool = EnginePool::new(PoolConfig {
-            shards: 1, // both streams on one worker: shared freelist
+            shards: 1, // both streams on one worker: shared queue
             base_seed: BASE_SEED,
             queue_depth: 16,
             ..Default::default()

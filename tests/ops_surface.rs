@@ -311,6 +311,54 @@ fn backpressure_carries_context_and_publishes_onset_relief() {
     assert!(p99 > 0.0, "slow engine latency must show in the histogram");
 }
 
+/// A receipt's latency runs from enqueue to the moment the session pulls
+/// it. Receipts that a blocking call (`report`) pulls on behalf of
+/// earlier pipelined batches are stamped then and buffered: receipt `j`
+/// waited behind batches `j..k`, which a slow engine runs one after
+/// another after `j` was enqueued. Each buffered receipt is recorded into
+/// the stream's latency histogram exactly once.
+#[test]
+fn buffered_receipts_carry_enqueue_to_pull_latency() {
+    const ID: u64 = 21;
+    const K: usize = 6; // pipelined batches
+    const N: usize = 4; // tuples per batch
+    const D: u64 = 300; // chaos delay per tuple, µs
+    let pool = EnginePool::new(PoolConfig {
+        shards: 1,
+        base_seed: BASE_SEED,
+        queue_depth: 4 * K,
+        ..Default::default()
+    });
+    let spec = sns_spec().with_chaos(ChaosConfig { delay_micros: D, ..Default::default() });
+    let mut session = pool.open(ID, spec).unwrap();
+    let metrics = pool.ops().metrics().stream(ID);
+    let recorded_before = metrics.latency.snapshot().count;
+    let tr = trace(ID, 300);
+    let c = cut(&tr);
+    let tickets: Vec<u64> = tr[c..c + K * N]
+        .chunks(N)
+        .map(|chunk| session.try_ingest_batch(chunk).expect("queue deep enough"))
+        .collect();
+    // Let the worker apply all K batches, so every receipt is already
+    // waiting on the reply channel when `report` pulls it.
+    while metrics.batches.load(Ordering::Relaxed) < K as u64 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(session.report().unwrap().error, None);
+    assert_eq!(session.in_flight(), K, "report buffers the receipts, it does not claim them");
+    for (j, &ticket) in tickets.iter().enumerate() {
+        let receipt = session.recv_receipt().expect("buffered receipt").unwrap();
+        assert_eq!(receipt.ticket, ticket, "tickets arrive in order");
+        assert_eq!(receipt.accepted, N);
+        let floor = Duration::from_micros(((K - j) * N) as u64 * D);
+        assert!(receipt.latency >= floor, "receipt {j}: {:?} < {floor:?}", receipt.latency);
+    }
+    assert!(session.recv_receipt().is_none());
+    assert_eq!(metrics.latency.snapshot().count, recorded_before + K as u64);
+    drop(session);
+    pool.join();
+}
+
 /// A journal that remembers `(seq, ticket, kind)` per record of one stream.
 struct RecordingJournal {
     stream_id: u64,

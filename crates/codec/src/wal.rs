@@ -559,6 +559,15 @@ impl BatchJournal for WalSet {
 /// bitwise-identical to one that never crashed, and the replay cost is
 /// bounded by the journal written since the last checkpoint.
 ///
+/// Every tail is read first, then every stream is restored at once
+/// ([`EnginePool::recover_all`]), then the tails replay pipelined:
+/// each stream's consecutive `Ingest` records are submitted without
+/// waiting, so every shard works through its own streams concurrently
+/// and recovery takes about as long as the slowest shard. A stream's
+/// records keep their order; its `Prefill`, `AdvanceTo` and
+/// `WarmStart` records are sync points that wait for the stream's
+/// earlier receipts. Every receipt is collected before this returns.
+///
 /// Tuple-batch replay outcomes are not propagated: a journaled batch
 /// reproduces its original result, including a typed error that was
 /// already acknowledged in the first life. Clock/warm-start replays
@@ -571,27 +580,64 @@ impl BatchJournal for WalSet {
 ///
 /// # Errors
 /// Store/codec/WAL read errors, the first snapshot the pool cannot
-/// restore, or a diverging clock/warm-start replay.
+/// restore, or a diverging clock/warm-start replay. All-or-nothing:
+/// on any error after the restore started, every session this call
+/// opened is closed.
 pub fn recover_pool_wal(
     pool: &EnginePool,
     store: &CheckpointStore,
     wal: &WalSet,
 ) -> Result<(Vec<StreamSession>, u64), SnsError> {
-    let mut sessions = Vec::new();
-    let mut replayed = 0u64;
-    for snapshot in store.load()? {
-        let stream_id = snapshot.stream_id;
-        let after_seq = snapshot.wal_seq;
-        let shard = pool.shard_of(stream_id);
-        let mut session = pool.restore(snapshot, shard)?;
-        for record in wal.read_tail(stream_id, after_seq)? {
-            replayed += record.op.units();
+    let snapshots = store.load()?;
+    let tails = snapshots
+        .iter()
+        .map(|snapshot| wal.read_tail(snapshot.stream_id, snapshot.wal_seq))
+        .collect::<Result<Vec<_>, _>>()?;
+    let replayed = tails.iter().flatten().map(|record| record.op.units()).sum();
+    let mut sessions = pool.recover_all(snapshots)?;
+    if let Err(e) = replay_tails(&mut sessions, tails) {
+        for session in sessions {
+            session.close();
+        }
+        return Err(e);
+    }
+    Ok((sessions, replayed))
+}
+
+/// Replays `tails[i]` through `sessions[i]`. Each round gives every
+/// stream one step — its next run of `Ingest` records, submitted
+/// without waiting, or one control record — so a control record that
+/// waits on its own shard leaves the other shards their queued work.
+fn replay_tails(
+    sessions: &mut [StreamSession],
+    tails: Vec<Vec<WalRecord>>,
+) -> Result<(), SnsError> {
+    let mut lanes: Vec<_> = sessions
+        .iter_mut()
+        .zip(tails.into_iter().map(|tail| tail.into_iter().peekable()))
+        .collect();
+    let mut busy = true;
+    while busy {
+        busy = false;
+        for (session, tail) in &mut lanes {
+            let Some(record) = tail.next() else { continue };
+            busy = true;
             match record.op {
+                WalOp::Ingest(tuples) => {
+                    submit(session, &tuples)?;
+                    let is_ingest = |r: &WalRecord| matches!(r.op, WalOp::Ingest(_));
+                    while let Some(WalRecord { op: WalOp::Ingest(tuples), .. }) =
+                        tail.next_if(is_ingest)
+                    {
+                        submit(session, &tuples)?;
+                    }
+                }
+                // Control records block: the session's reply channel is
+                // FIFO, so a control ack arrives only after the receipts
+                // of the stream's earlier batches (which the session
+                // buffers for the drain below).
                 WalOp::Prefill(tuples) => {
                     let _ = session.prefill_batch(&tuples);
-                }
-                WalOp::Ingest(tuples) => {
-                    let _ = session.ingest_batch(&tuples);
                 }
                 WalOp::AdvanceTo(t) => {
                     let _ = session.advance_to(t)?;
@@ -601,16 +647,40 @@ pub fn recover_pool_wal(
                 }
             }
         }
-        sessions.push(session);
     }
-    Ok((sessions, replayed))
+    // Replayed batch outcomes are not propagated (see `recover_pool_wal`).
+    for (session, _) in &mut lanes {
+        while session.recv_receipt().is_some() {}
+    }
+    Ok(())
+}
+
+/// Submits one replayed ingest batch without waiting for its receipt.
+/// On a saturated shard it collects the stream's oldest receipt and
+/// retries, so the shard's queue depth bounds the work in flight; a
+/// stream with nothing of its own in flight blocks for queue space
+/// instead.
+fn submit(session: &mut StreamSession, tuples: &[StreamTuple]) -> Result<(), SnsError> {
+    loop {
+        match session.try_ingest_batch(tuples) {
+            Ok(_) => return Ok(()),
+            Err(SnsError::Backpressure { .. }) if session.in_flight() > 0 => {
+                let _ = session.recv_receipt();
+            }
+            Err(SnsError::Backpressure { .. }) => {
+                let _ = session.ingest_batch(tuples);
+                return Ok(());
+            }
+            Err(e) => return Err(e),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sns_core::config::{AlgorithmKind, SnsConfig};
-    use sns_runtime::{EngineSpec, PoolConfig};
+    use sns_runtime::{ChaosConfig, EngineSpec, PoolConfig};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("sns-wal-test-{tag}-{}", std::process::id()));
@@ -744,6 +814,35 @@ mod tests {
         wal.rotate(4, 1, 99).unwrap();
         assert_eq!(wal.read_tail(4, 0).unwrap().len(), 1);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A replayed batch that finds its shard's queue full of *another*
+    /// stream's commands has no receipt of its own to wait for: it must
+    /// block for queue space, not spin or drop the batch.
+    #[test]
+    fn replay_submit_waits_out_a_shard_full_of_another_stream() {
+        let config = SnsConfig { rank: 2, theta: 2, ..Default::default() };
+        let spec = EngineSpec::sns(&[4, 3], 3, 10, AlgorithmKind::PlusRnd, &config);
+        let slow =
+            spec.clone().with_chaos(ChaosConfig { delay_micros: 2_000, ..Default::default() });
+        let pool = EnginePool::new(PoolConfig { shards: 1, queue_depth: 1, ..Default::default() });
+        let mut busy = pool.open(1, slow).unwrap();
+        let mut idle = pool.open(2, spec).unwrap();
+        // Each busy batch keeps the worker ~40 ms: once it is into the
+        // first, a second fills the one-command queue behind it.
+        let _ = busy.try_ingest_batch(&tuples(20, 0)).unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        while let Err(SnsError::Backpressure { .. }) = busy.try_ingest_batch(&tuples(20, 20)) {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        submit(&mut idle, &tuples(5, 0)).unwrap();
+        while idle.recv_receipt().is_some() {}
+        assert_eq!(idle.report().unwrap().error, None);
+        assert_eq!(
+            pool.ops().metrics().stream(2).tuples.load(std::sync::atomic::Ordering::Relaxed),
+            5
+        );
+        while busy.recv_receipt().is_some() {}
     }
 
     #[test]

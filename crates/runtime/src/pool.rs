@@ -286,6 +286,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "unknown panic payload".to_string())
 }
 
+/// An engine constructor (or snapshot rebuild) that panicked on a worker.
+fn build_failed(stream_id: u64, payload: Box<dyn std::any::Any + Send>) -> SnsError {
+    SnsError::EngineBuildFailed { stream_id, message: panic_message(payload) }
+}
+
 struct StreamSlot {
     id: u64,
     name: String,
@@ -735,13 +740,8 @@ fn worker_loop(w: Worker, rx: Receiver<Command>) {
         match cmd {
             Command::Open { head, seed, spec, replies } => {
                 let effective = spec.effective_seed(seed);
-                let built =
-                    catch_unwind(AssertUnwindSafe(|| spec.build(seed))).map_err(|payload| {
-                        SnsError::EngineBuildFailed {
-                            stream_id: head.id,
-                            message: panic_message(payload),
-                        }
-                    });
+                let built = catch_unwind(AssertUnwindSafe(|| spec.build(seed)))
+                    .map_err(|payload| build_failed(head.id, payload));
                 let slot = StreamSlot::new(&w, head, spec, effective, built, 0, replies);
                 let opened = slot.engine.as_ref().map(|_| PoolEvent::StreamOpened {
                     stream_id: head.id,
@@ -752,7 +752,8 @@ fn worker_loop(w: Worker, rx: Receiver<Command>) {
             }
             Command::Restore { head, snapshot, replies } => {
                 let EngineSnapshot { spec, seed, state, wal_seq, .. } = *snapshot;
-                match state.into_engine() {
+                let built = catch_unwind(AssertUnwindSafe(|| state.into_engine()));
+                match built.unwrap_or_else(|payload| Err(build_failed(head.id, payload))) {
                     Ok(engine) => {
                         let slot =
                             StreamSlot::new(&w, head, spec, seed, Ok(engine), wal_seq, replies);
@@ -872,7 +873,7 @@ pub struct EnginePool {
     /// Which shard currently owns each stream id, if any. The outer lock
     /// only guards map shape (get-or-insert of a cell) and is never held
     /// across a channel send; the per-stream cell serializes
-    /// claim + evict + install for one id (see [`EnginePool::start_session`]).
+    /// claim + evict + install for one id (see [`EnginePool::enqueue_session`]).
     /// Entries are kept after close — a stale entry is only a hint and an
     /// `Evict` to a shard without the slot is a no-op.
     owners: Mutex<HashMap<u64, Arc<Mutex<Option<usize>>>>>,
@@ -948,12 +949,13 @@ impl EnginePool {
     pub fn open(&self, stream_id: u64, spec: EngineSpec) -> Result<StreamSession, SnsError> {
         let shard = self.shard_of(stream_id);
         let seed = stream_seed(self.base_seed, stream_id);
-        self.start_session(stream_id, shard, |head, replies| Command::Open {
+        self.enqueue_session(stream_id, shard, |head, replies| Command::Open {
             head,
             seed,
             spec,
             replies,
         })
+        .and_then(Self::installed)
     }
 
     /// Resumes a snapshotted stream on an explicit shard — possibly of a
@@ -961,7 +963,9 @@ impl EnginePool {
     /// state. Blocks until the stream is installed.
     ///
     /// Restoring over a still-open session of the same id replaces it,
-    /// exactly like [`EnginePool::open`].
+    /// exactly like [`EnginePool::open`]. A snapshot that does not
+    /// rebuild into an engine fails typed and leaves that session
+    /// untouched.
     pub fn restore(
         &self,
         snapshot: EngineSnapshot,
@@ -970,59 +974,66 @@ impl EnginePool {
         if shard >= self.senders.len() {
             return Err(SnsError::ShardOutOfRange { shard, shards: self.senders.len() });
         }
-        // Validate the snapshot *before* the session claim: start_session
-        // evicts the id's previous engine before the worker installs the
-        // new one, so an invalid snapshot (e.g. decoded from a corrupted
-        // store entry that passed its checksum) must be rejected here —
-        // otherwise it would destroy the still-healthy session and leave
-        // the stream id dead. A throwaway rebuild on the caller thread is
-        // the validation; restores are control-plane rare.
-        snapshot.state.clone().into_engine()?;
+        self.enqueue_restore(snapshot, shard).and_then(Self::installed)
+    }
+
+    /// [`EnginePool::enqueue_session`] for a `Restore` of `snapshot`.
+    fn enqueue_restore(
+        &self,
+        snapshot: EngineSnapshot,
+        shard: usize,
+    ) -> Result<StreamSession, SnsError> {
         let stream_id = snapshot.stream_id;
-        self.start_session(stream_id, shard, |head, replies| Command::Restore {
+        self.enqueue_session(stream_id, shard, |head, replies| Command::Restore {
             head,
             snapshot: Box::new(snapshot),
             replies,
         })
     }
 
-    fn start_session(
+    /// The first half of opening a session: claims `stream_id` for
+    /// `shard`, evicts it from its previous owner, and enqueues the
+    /// install command `make` builds. The session's first reply is the
+    /// install's ack, which [`EnginePool::installed`] awaits.
+    fn enqueue_session(
         &self,
         stream_id: u64,
         shard: usize,
         make: impl FnOnce(Head, Sender<SessionReply>) -> Command,
     ) -> Result<StreamSession, SnsError> {
-        // A stream id lives on at most one shard. The ownership map knows
-        // which shard that is (a previous `restore` may have moved the id
-        // off its hash shard), so only the owning shard — if any, and if
-        // different — receives an `Evict`; a saturated *unrelated* shard
-        // is never touched and cannot stall this open.
-        //
-        // Claim-then-evict is atomic per stream: the per-stream cell is
-        // held from the claim until the install command is enqueued, so
-        // concurrent `open`/`restore` of the same id serialize. The last
-        // claimant's install is the last command any shard receives for
-        // the id (channels are FIFO and the loser's `Evict`/install were
-        // enqueued while it held the cell earlier), hence exactly one
-        // slot survives. Evicting the owning shard may still block on
-        // *that* shard's bounded queue — it is the one shard actually
-        // serving this stream.
+        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+        let (reply_tx, reply_rx) = channel();
+        let install =
+            make(Head { id: stream_id, token, ticket: 0, at: sns_ops::clock::now() }, reply_tx);
+        // A stream id lives on at most one shard: only its owning shard
+        // (per the ownership map; a `restore` may have moved the id off
+        // its hash shard), if any and if different, receives an `Evict`,
+        // so a saturated *unrelated* shard cannot stall this open. The
+        // per-stream cell is held from the claim until the install is
+        // enqueued, so concurrent `open`/`restore` of one id serialize:
+        // the last claimant's install is the last command any shard gets
+        // for the id (channels are FIFO), hence exactly one slot survives.
         let cell = {
             let mut owners = self.owners.lock().expect("ownership map poisoned");
             Arc::clone(owners.entry(stream_id).or_default())
         };
         let mut owner = cell.lock().expect("ownership cell poisoned");
-        if let Some(prev) = owner.replace(shard).filter(|&p| p != shard) {
+        if let Some(prev) = owner.filter(|&p| p != shard) {
+            // The `Evict` would destroy the engine on `prev` before this
+            // shard's worker could refuse an invalid snapshot, so a moving
+            // restore is validated here by a throwaway rebuild. Elsewhere
+            // the worker validates, and a refusal installs nothing.
+            if let Command::Restore { snapshot, .. } = &install {
+                snapshot.state.clone().into_engine()?;
+            }
             self.send(prev, Command::Evict { id: stream_id });
         }
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        let (reply_tx, reply_rx) = channel();
-        let head = Head { id: stream_id, token, ticket: 0, at: sns_ops::clock::now() };
-        if !self.send(shard, make(head, reply_tx)) {
+        *owner = Some(shard);
+        if !self.send(shard, install) {
             return Err(SnsError::StreamClosed { stream_id });
         }
         drop(owner);
-        let session = StreamSession {
+        Ok(StreamSession {
             stream_id,
             shard,
             token,
@@ -1035,9 +1046,13 @@ impl EnginePool {
             closed: false,
             ops: self.ops.clone(),
             metrics: self.ops.metrics().stream(stream_id),
-        };
-        // The install's ack is the session's first reply. It is not a
-        // batch receipt, so it is neither stamped nor recorded.
+        })
+    }
+
+    /// The second half of opening a session: waits for the install's
+    /// ack. It is not a batch receipt, so it is neither stamped nor
+    /// recorded.
+    fn installed(session: StreamSession) -> Result<StreamSession, SnsError> {
         let reply = session.rx.recv().map_err(|_| session.closed_err())?;
         let _ = into_receipt(reply.body)?;
         Ok(session)
@@ -1109,22 +1124,38 @@ impl EnginePool {
     /// order. Restored engines continue bitwise-identically — this is
     /// the recovery half of [`EnginePool::checkpoint_all`], used after a
     /// crash (typically with snapshots loaded from a
-    /// `CheckpointStore`).
+    /// `CheckpointStore`). Every restore is enqueued before any ack is
+    /// awaited, so the shards rebuild their engines concurrently.
     ///
     /// # Errors
-    /// Fails on the first snapshot that cannot be restored; streams
-    /// restored before the failure stay installed.
+    /// All-or-nothing: if a snapshot cannot be restored, every session
+    /// this call opened is closed and the first failure, in snapshot
+    /// order, is returned. A live session the call replaced stays gone:
+    /// recover onto a fresh pool.
     pub fn recover_all(
         &self,
         snapshots: Vec<EngineSnapshot>,
     ) -> Result<Vec<StreamSession>, SnsError> {
-        snapshots
+        let pending: Vec<_> = snapshots
             .into_iter()
             .map(|snapshot| {
                 let shard = self.shard_of(snapshot.stream_id);
-                self.restore(snapshot, shard)
+                self.enqueue_restore(snapshot, shard)
             })
-            .collect()
+            .collect();
+        let mut opened = Vec::with_capacity(pending.len());
+        let mut failed = None;
+        for session in pending {
+            match session.and_then(Self::installed) {
+                Ok(session) => opened.push(session),
+                Err(e) => failed = failed.or(Some(e)),
+            }
+        }
+        if let Some(e) = failed {
+            opened.into_iter().for_each(StreamSession::close);
+            return Err(e);
+        }
+        Ok(opened)
     }
 
     /// Shuts the workers down and waits for them to finish. Sessions
@@ -1739,15 +1770,10 @@ mod tests {
         assert!(!checkpoints.iter().any(|(id, _)| *id == 2), "closed stream checkpointed");
     }
 
-    #[test]
-    fn invalid_restore_leaves_the_live_session_untouched() {
-        let pool = EnginePool::new(PoolConfig { shards: 2, base_seed: 4, ..Default::default() });
-        let mut live = pool.open(8, spec()).unwrap();
-        let _ = live.ingest_batch(&tuples_for(8)[..20]).unwrap();
-        let mut snapshot = live.snapshot().unwrap();
-        // Corrupt the snapshot: window from this engine, factors from a
-        // differently-shaped one — exactly what a damaged store entry
-        // that slipped past framing checks would look like.
+    /// Corrupts `snapshot`: window from its engine, factors from a
+    /// differently-shaped one — exactly what a damaged store entry that
+    /// slipped past framing checks would look like.
+    fn corrupt(snapshot: &mut EngineSnapshot) {
         let crate::snapshot::EngineState::Sns(state) = &mut snapshot.state else {
             panic!("continuous snapshot expected");
         };
@@ -1764,15 +1790,53 @@ mod tests {
             panic!("continuous snapshot expected");
         };
         state.updater = foreign_sns.updater;
+    }
 
-        // The restore fails typed — and must NOT evict the live session.
-        assert!(matches!(
-            pool.restore(snapshot, 0),
-            Err(SnsError::Codec { fault: sns_error::CodecFault::Invalid, .. })
-        ));
-        let receipt = live.ingest_batch(&tuples_for(8)[20..30]).unwrap();
-        assert_eq!(receipt.accepted, 10, "healthy session must survive a failed restore");
-        assert_eq!(live.report().unwrap().error, None);
+    fn is_invalid(result: Result<StreamSession, SnsError>) -> bool {
+        matches!(result, Err(SnsError::Codec { fault: sns_error::CodecFault::Invalid, .. }))
+    }
+
+    #[test]
+    fn invalid_restore_leaves_the_live_session_untouched() {
+        let pool = EnginePool::new(PoolConfig { shards: 2, base_seed: 4, ..Default::default() });
+        let mut live = pool.open(8, spec()).unwrap();
+        let _ = live.ingest_batch(&tuples_for(8)[..20]).unwrap();
+        let mut snapshot = live.snapshot().unwrap();
+        corrupt(&mut snapshot);
+
+        // The restore fails typed — and must NOT evict the live session,
+        // whether it targets the live shard (the worker refuses it) or
+        // the other one (the caller refuses it before the evict).
+        let home = live.shard();
+        for (target, at) in [(home, 20), (1 - home, 30)] {
+            assert!(is_invalid(pool.restore(snapshot.clone(), target)), "target shard {target}");
+            let receipt = live.ingest_batch(&tuples_for(8)[at..at + 10]).unwrap();
+            assert_eq!(receipt.accepted, 10, "healthy session must survive a failed restore");
+            assert_eq!(live.report().unwrap().error, None);
+        }
+        let live_ids: Vec<u64> = pool.checkpoint_all().into_iter().map(|(id, _)| id).collect();
+        assert_eq!(live_ids, vec![8]);
+    }
+
+    #[test]
+    fn invalid_restore_on_a_fresh_pool_installs_nothing() {
+        let mut snapshot = {
+            let pool =
+                EnginePool::new(PoolConfig { shards: 2, base_seed: 4, ..Default::default() });
+            let mut session = pool.open(8, spec()).unwrap();
+            let _ = session.ingest_batch(&tuples_for(8)[..20]).unwrap();
+            session.snapshot().unwrap()
+        };
+        corrupt(&mut snapshot);
+        let pool = EnginePool::new(PoolConfig { shards: 2, base_seed: 4, ..Default::default() });
+        // Nothing owns the id, so no caller-side rebuild runs: the worker
+        // refuses the snapshot on the install ack.
+        assert!(is_invalid(pool.restore(snapshot, pool.shard_of(8))));
+        assert!(pool.checkpoint_all().is_empty(), "a refused snapshot installed a slot");
+        let mut opened = pool.open(8, spec()).unwrap();
+        let receipt = opened.ingest_batch(&tuples_for(8)[..10]).unwrap();
+        assert_eq!(receipt.accepted, 10);
+        assert_eq!(opened.report().unwrap().error, None);
     }
 
     #[test]

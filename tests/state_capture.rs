@@ -13,7 +13,9 @@
 //!   so any wire-format drift without a `SCHEMA_VERSION` bump fails CI;
 //! - a pooled fleet of every family killed mid-trace, recovered from
 //!   disk (checkpoint only, or checkpoint + WAL tail) and finished ends
-//!   byte-identical to a fleet that never crashed.
+//!   byte-identical to a fleet that never crashed;
+//! - recovery is all-or-nothing, and its pipelined WAL replay stays
+//!   byte-identical under backpressure.
 
 use proptest::prelude::*;
 use slicenstitch::codec::daemon::{CheckpointPolicy, Checkpointer};
@@ -24,11 +26,13 @@ use slicenstitch::core::als::AlsOptions;
 use slicenstitch::core::{AlgorithmKind, SnsConfig};
 use slicenstitch::data::replay::{replay, ReplayPlan};
 use slicenstitch::data::{generate, GeneratorConfig};
+use slicenstitch::ops::BusItem;
 use slicenstitch::runtime::{
-    AnomalyConfig, BaselineKind, BatchJournal, EnginePool, EngineSnapshot, EngineSpec, PoolConfig,
-    SnsError, StreamSession, StreamingCpd,
+    AnomalyConfig, BaselineKind, BatchJournal, EnginePool, EngineSnapshot, EngineSpec, EngineState,
+    EvictReason, PoolConfig, PoolEvent, SnsError, StreamSession, StreamingCpd,
 };
 use slicenstitch::stream::StreamTuple;
+use sns_error::CodecFault;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -462,4 +466,141 @@ fn killed_fleet_recovers_bitwise_from_checkpoint_and_wal() {
         recovered.join();
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Three streams on two shards: the anomaly decorator, SNS⁺_RND and
+/// SNS⁺_VEC.
+fn trio() -> Vec<(u64, EngineSpec)> {
+    let fleet = fleet();
+    [6, 0, 7].iter().map(|&id| fleet[id].clone()).collect()
+}
+
+/// Corrupts a continuous snapshot: its window stays, its factors come
+/// from a differently-shaped engine — a damaged store entry that slipped
+/// past the framing checks.
+fn corrupt(snapshot: &mut EngineSnapshot) {
+    let foreign = EngineSpec::sns(&[9, 9], W, T, AlgorithmKind::PlusVec, &SnsConfig::with_rank(3));
+    let (EngineState::Sns(state), EngineState::Sns(foreign)) =
+        (&mut snapshot.state, foreign.build(1).snapshot().unwrap())
+    else {
+        panic!("continuous snapshots expected");
+    };
+    state.updater = foreign.updater;
+}
+
+/// `recover_all` is all-or-nothing: a corrupt snapshot in the middle
+/// fails the call typed and closes the sessions it opened around it; a
+/// retry without it recovers bitwise.
+#[test]
+fn recover_all_closes_every_session_on_a_corrupt_snapshot() {
+    let tuples = stream(0xbad, 300);
+    let first = fleet_pool(None);
+    let ids: Vec<u64> = trio().iter().map(|(id, _)| *id).collect();
+    let snapshots: Vec<EngineSnapshot> = trio()
+        .into_iter()
+        .map(|(id, spec)| {
+            let mut session = first.open(id, spec).unwrap();
+            let _ = session.ingest_batch(&tuples).unwrap();
+            session.snapshot().unwrap()
+        })
+        .collect();
+    let shards: std::collections::BTreeSet<_> = ids.iter().map(|&id| first.shard_of(id)).collect();
+    assert_eq!(shards.len(), 2, "the trio must span both shards");
+    first.join();
+    let expected: Vec<Vec<u8>> = snapshots.iter().map(to_bytes).collect();
+
+    let pool = fleet_pool(None);
+    let mut events = pool.ops().subscribe();
+    let mut bad = snapshots.clone();
+    corrupt(&mut bad[1]);
+    match pool.recover_all(bad) {
+        Err(SnsError::Codec { fault: CodecFault::Invalid, .. }) => {}
+        other => panic!("expected Codec(Invalid), got {:?}", other.map(|s| s.len())),
+    }
+    // The checkpoint queues behind the closes on every shard.
+    assert!(pool.checkpoint_all().is_empty(), "a failed recovery left live slots");
+    let mut closed: Vec<u64> = events
+        .drain()
+        .into_iter()
+        .filter_map(|item| match item {
+            BusItem::Event(e) => match *e {
+                PoolEvent::StreamEvicted { stream_id, reason: EvictReason::Closed, .. } => {
+                    Some(stream_id)
+                }
+                _ => None,
+            },
+            BusItem::Lagged { .. } => None,
+        })
+        .collect();
+    closed.sort_unstable();
+    assert_eq!(closed, vec![ids[0], ids[2]], "the good streams must be closed");
+
+    let good = vec![snapshots[0].clone(), snapshots[2].clone()];
+    let mut recovered = pool.recover_all(good).unwrap();
+    for (session, want) in recovered.iter_mut().zip([&expected[0], &expected[2]]) {
+        assert!(to_bytes(&session.snapshot().unwrap()) == *want, "stream {}", session.stream_id());
+    }
+}
+
+/// Every WAL record kind, replayed pipelined on queues two commands
+/// deep: recovery must end byte-identical to the uninterrupted run,
+/// replay exactly the journal, and leave no receipt uncollected.
+#[test]
+fn pipelined_wal_replay_under_backpressure_is_bitwise() {
+    let tuples = stream(0x7a11, 600);
+    let cut = tuples.partition_point(|t| t.time <= W as u64 * T);
+    let mid = cut + (tuples.len() - cut) / 2;
+    let pool_with = |journal: Arc<WalSet>| {
+        EnginePool::new(PoolConfig {
+            shards: 2,
+            base_seed: 0xc4a5,
+            queue_depth: 2,
+            journal: Some(journal as Arc<dyn BatchJournal>),
+            ..Default::default()
+        })
+    };
+    // Prefill, warm start, ingests, a clock advance, more ingests.
+    let drive = |session: &mut StreamSession| {
+        let _ = session.prefill_batch(&tuples[..cut]).unwrap();
+        let _ = session.warm_start(&AlsOptions { max_iters: 8, ..Default::default() }).unwrap();
+        for batch in tuples[cut..mid].chunks(8) {
+            let _ = session.ingest_batch(batch).unwrap();
+        }
+        let _ = session.advance_to(tuples[mid].time).unwrap();
+        for batch in tuples[mid..].chunks(8) {
+            let _ = session.ingest_batch(batch).unwrap();
+        }
+    };
+    let dir = fresh_dir("pipelined");
+    let reference = pool_with(Arc::new(WalSet::create(dir.join("wal-reference")).unwrap()));
+    let mut sessions: Vec<_> =
+        trio().into_iter().map(|(id, spec)| reference.open(id, spec).unwrap()).collect();
+    sessions.iter_mut().for_each(drive);
+    let expected = fleet_bytes(&mut sessions);
+    drop(sessions);
+    reference.join();
+
+    let store = CheckpointStore::create(dir.join("store")).unwrap();
+    let wal = Arc::new(WalSet::create(dir.join("wal")).unwrap());
+    let doomed = pool_with(wal.clone());
+    let mut sessions: Vec<_> =
+        trio().into_iter().map(|(id, spec)| doomed.open(id, spec).unwrap()).collect();
+    checkpoint_pool(&doomed, &store).unwrap();
+    sessions.iter_mut().for_each(drive);
+    drop(sessions);
+    drop(doomed); // the crash: everything since the open is journal-only
+
+    let recovered = pool_with(wal.clone());
+    let (mut sessions, replayed) = recover_pool_wal(&recovered, &store, &wal).unwrap();
+    // Per stream: every tuple once, plus the warm start and the advance.
+    assert_eq!(replayed, 3 * (tuples.len() as u64 + 2));
+    assert!(sessions.iter().all(|s| s.in_flight() == 0), "uncollected replay receipts");
+    let actual = fleet_bytes(&mut sessions);
+    assert_eq!(actual.len(), 3);
+    for ((id, got), (_, want)) in actual.iter().zip(&expected) {
+        assert!(got == want, "stream {id} diverged after pipelined replay");
+    }
+    drop(sessions);
+    recovered.join();
+    let _ = std::fs::remove_dir_all(&dir);
 }

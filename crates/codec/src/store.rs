@@ -155,7 +155,12 @@ impl CheckpointStore {
             f.sync_all().map_err(|e| io_err(&tmp, e))?;
         }
         let path = self.manifest_path();
-        fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))
+        fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
+        // The rename is the commit point, and WAL rotation deletes the
+        // segments it covers right after: sync the directory so an OS
+        // crash cannot lose the rename (or the snapshot renames before
+        // it) once those segments are gone.
+        fs::File::open(&self.dir).and_then(|d| d.sync_all()).map_err(|e| io_err(&self.dir, e))
     }
 
     /// Writes one **full** file per snapshot plus the manifest (last,
@@ -484,7 +489,7 @@ pub fn recover_pool(
     pool: &EnginePool,
     store: &CheckpointStore,
 ) -> Result<Vec<StreamSession>, SnsError> {
-    pool.recover_all(store.load()?)
+    pool.recover_all(store.load()?.into_iter().map(|s| (s, Vec::new())).collect())
 }
 
 #[cfg(test)]

@@ -9,9 +9,10 @@
 //! segment file, and recovery becomes "restore the newest checkpoint,
 //! replay the journal tail with `seq >` the snapshot's
 //! [`wal_seq`](sns_runtime::EngineSnapshot::wal_seq)"
-//! ([`recover_pool_wal`]). Replay is deterministic by the workspace's
-//! core invariant, so the recovered fleet is **bitwise-identical** to
-//! one that never crashed.
+//! ([`recover_pool_wal`]). Records hold the pool's own operation type,
+//! [`JournalOp`], so a tail read back here is handed to the pool as is.
+//! Replay is deterministic by the workspace's core invariant, so the
+//! recovered fleet is **bitwise-identical** to one that never crashed.
 //!
 //! ## Segment format
 //!
@@ -37,8 +38,8 @@
 //! the expected shape of the file the crash left behind. The writer
 //! truncates a torn tail before appending, and appends idempotently
 //! (a record whose `seq` is not beyond the segment's last is skipped),
-//! so recovery replay — which flows through the journaled pool again —
-//! never duplicates records.
+//! so recovery replay — which the pool journals again — never
+//! duplicates records.
 //!
 //! ## Durability window
 //!
@@ -55,7 +56,6 @@ use crate::store::CheckpointStore;
 use sns_core::als::AlsOptions;
 use sns_error::{CodecFault, SnsError};
 use sns_runtime::{BatchJournal, EnginePool, JournalEntry, JournalOp, StreamSession};
-use sns_stream::StreamTuple;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write as _;
@@ -73,30 +73,6 @@ const OP_INGEST: u8 = 1;
 const OP_ADVANCE_TO: u8 = 2;
 const OP_WARM_START: u8 = 3;
 
-/// One replayable operation read back from the log.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WalOp {
-    /// Tuples loaded into the window without factor updates.
-    Prefill(Vec<StreamTuple>),
-    /// Tuples ingested live.
-    Ingest(Vec<StreamTuple>),
-    /// Clock advance to this time.
-    AdvanceTo(u64),
-    /// Batch ALS warm start with these options.
-    WarmStart(AlsOptions),
-}
-
-impl WalOp {
-    /// WAL sequence units this operation spans (mirrors
-    /// [`sns_runtime::JournalOp::units`]).
-    pub fn units(&self) -> u64 {
-        match self {
-            WalOp::Prefill(t) | WalOp::Ingest(t) => t.len() as u64,
-            WalOp::AdvanceTo(_) | WalOp::WarmStart(_) => 1,
-        }
-    }
-}
-
 /// One decoded WAL record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WalRecord {
@@ -105,7 +81,7 @@ pub struct WalRecord {
     /// Session ticket the operation was acknowledged under.
     pub ticket: u64,
     /// The operation.
-    pub op: WalOp,
+    pub op: JournalOp,
 }
 
 /// Everything a segment readback yields.
@@ -130,7 +106,7 @@ fn invalid(detail: String) -> SnsError {
     SnsError::Codec { fault: CodecFault::Invalid, offset: 0, detail }
 }
 
-fn encode_record(seq: u64, ticket: u64, op: &JournalOp<'_>) -> Vec<u8> {
+fn encode_record(seq: u64, ticket: u64, op: &JournalOp) -> Vec<u8> {
     let mut p = Writer::new();
     p.u64(seq);
     p.u64(ticket);
@@ -138,14 +114,14 @@ fn encode_record(seq: u64, ticket: u64, op: &JournalOp<'_>) -> Vec<u8> {
         JournalOp::Prefill(tuples) => {
             p.u8(OP_PREFILL);
             p.u64(tuples.len() as u64);
-            for t in *tuples {
+            for t in tuples {
                 crate::wire::put_tuple(&mut p, t);
             }
         }
         JournalOp::Ingest(tuples) => {
             p.u8(OP_INGEST);
             p.u64(tuples.len() as u64);
-            for t in *tuples {
+            for t in tuples {
                 crate::wire::put_tuple(&mut p, t);
             }
         }
@@ -181,13 +157,13 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, SnsError> {
                 tuples.push(crate::wire::get_tuple(&mut r)?);
             }
             if kind == OP_PREFILL {
-                WalOp::Prefill(tuples)
+                JournalOp::Prefill(tuples)
             } else {
-                WalOp::Ingest(tuples)
+                JournalOp::Ingest(tuples)
             }
         }
-        OP_ADVANCE_TO => WalOp::AdvanceTo(r.u64("wal advance t")?),
-        OP_WARM_START => WalOp::WarmStart(AlsOptions {
+        OP_ADVANCE_TO => JournalOp::AdvanceTo(r.u64("wal advance t")?),
+        OP_WARM_START => JournalOp::WarmStart(AlsOptions {
             max_iters: r.u64("wal max_iters")? as usize,
             tol: r.f64("wal tol")?,
             seed: r.u64("wal seed")?,
@@ -358,7 +334,7 @@ impl StreamWal {
 
     /// Appends one record; idempotently skips sequences already in the
     /// segment (recovery replay flows through the journal again).
-    fn append(&mut self, seq: u64, ticket: u64, op: &JournalOp<'_>) -> Result<(), SnsError> {
+    fn append(&mut self, seq: u64, ticket: u64, op: &JournalOp) -> Result<(), SnsError> {
         if seq <= self.last_seq {
             return Ok(());
         }
@@ -543,7 +519,7 @@ impl WalSet {
 impl BatchJournal for WalSet {
     fn record(&self, entry: JournalEntry<'_>) {
         let result = self.stream(entry.stream_id).and_then(|s| {
-            s.lock().expect("stream wal poisoned").append(entry.seq, entry.ticket, &entry.op)
+            s.lock().expect("stream wal poisoned").append(entry.seq, entry.ticket, entry.op)
         });
         if let Err(e) = result {
             self.error.lock().expect("wal error lock poisoned").get_or_insert(e);
@@ -552,135 +528,53 @@ impl BatchJournal for WalSet {
 }
 
 /// Checkpoint + WAL recovery: restores every stream of the newest
-/// checkpoint in `store` onto `pool`, then replays each stream's
-/// journal tail (`seq >` its snapshot's `wal_seq`) through the live
-/// session. Returns the sessions in stream-id order plus the total WAL
-/// units replayed — by determinism, the recovered fleet is
-/// bitwise-identical to one that never crashed, and the replay cost is
-/// bounded by the journal written since the last checkpoint.
+/// checkpoint in `store` onto `pool` together with its journal tail
+/// (`seq >` its snapshot's `wal_seq`), which the stream's shard worker
+/// replays before it acknowledges the restore. Returns the sessions in
+/// stream-id order plus the total WAL units replayed — by determinism,
+/// the recovered fleet is bitwise-identical to one that never crashed,
+/// and the replay cost is bounded by the journal written since the last
+/// checkpoint.
 ///
 /// Every tail is read first, then every stream is restored at once
-/// ([`EnginePool::recover_all`]), then the tails replay pipelined:
-/// each stream's consecutive `Ingest` records are submitted without
-/// waiting, so every shard works through its own streams concurrently
-/// and recovery takes about as long as the slowest shard. A stream's
-/// records keep their order; its `Prefill`, `AdvanceTo` and
-/// `WarmStart` records are sync points that wait for the stream's
-/// earlier receipts. Every receipt is collected before this returns.
+/// ([`EnginePool::recover_all`]), so each shard replays its own streams
+/// concurrently with the others and recovery takes about as long as the
+/// slowest shard. Tuple-batch replay outcomes are not propagated: a
+/// journaled batch reproduces its original result, including a typed
+/// error that was already acknowledged in the first life.
 ///
-/// Tuple-batch replay outcomes are not propagated: a journaled batch
-/// reproduces its original result, including a typed error that was
-/// already acknowledged in the first life. Clock/warm-start replays
-/// were journaled only on success, so their failure *is* propagated —
-/// it means divergence.
-///
-/// If `pool` is configured with the same [`WalSet`] as its journal
-/// (the normal arrangement), replayed operations flow through the
-/// journal again and are idempotently skipped by sequence number.
+/// The pool journals every replayed operation again. If `pool` is
+/// configured with the same [`WalSet`] as its journal (the normal
+/// arrangement), those records are idempotently skipped by sequence
+/// number; a fresh journal receives the tail anew.
 ///
 /// # Errors
-/// Store/codec/WAL read errors, the first snapshot the pool cannot
-/// restore, or a diverging clock/warm-start replay. All-or-nothing:
-/// on any error after the restore started, every session this call
-/// opened is closed.
+/// Store/codec/WAL read errors, or the first stream the pool cannot
+/// restore — a snapshot that does not rebuild, or a tail whose replay
+/// panics the engine. All-or-nothing: on a restore error, every session
+/// this call opened is closed.
 pub fn recover_pool_wal(
     pool: &EnginePool,
     store: &CheckpointStore,
     wal: &WalSet,
 ) -> Result<(Vec<StreamSession>, u64), SnsError> {
-    let snapshots = store.load()?;
-    let tails = snapshots
-        .iter()
-        .map(|snapshot| wal.read_tail(snapshot.stream_id, snapshot.wal_seq))
-        .collect::<Result<Vec<_>, _>>()?;
-    let replayed = tails.iter().flatten().map(|record| record.op.units()).sum();
-    let mut sessions = pool.recover_all(snapshots)?;
-    if let Err(e) = replay_tails(&mut sessions, tails) {
-        for session in sessions {
-            session.close();
-        }
-        return Err(e);
+    let mut replayed = 0;
+    let mut streams = Vec::new();
+    for snapshot in store.load()? {
+        let tail = wal.read_tail(snapshot.stream_id, snapshot.wal_seq)?;
+        let ops: Vec<JournalOp> = tail.into_iter().map(|record| record.op).collect();
+        replayed += ops.iter().map(JournalOp::units).sum::<u64>();
+        streams.push((snapshot, ops));
     }
-    Ok((sessions, replayed))
-}
-
-/// Replays `tails[i]` through `sessions[i]`. Each round gives every
-/// stream one step — its next run of `Ingest` records, submitted
-/// without waiting, or one control record — so a control record that
-/// waits on its own shard leaves the other shards their queued work.
-fn replay_tails(
-    sessions: &mut [StreamSession],
-    tails: Vec<Vec<WalRecord>>,
-) -> Result<(), SnsError> {
-    let mut lanes: Vec<_> = sessions
-        .iter_mut()
-        .zip(tails.into_iter().map(|tail| tail.into_iter().peekable()))
-        .collect();
-    let mut busy = true;
-    while busy {
-        busy = false;
-        for (session, tail) in &mut lanes {
-            let Some(record) = tail.next() else { continue };
-            busy = true;
-            match record.op {
-                WalOp::Ingest(tuples) => {
-                    submit(session, &tuples)?;
-                    let is_ingest = |r: &WalRecord| matches!(r.op, WalOp::Ingest(_));
-                    while let Some(WalRecord { op: WalOp::Ingest(tuples), .. }) =
-                        tail.next_if(is_ingest)
-                    {
-                        submit(session, &tuples)?;
-                    }
-                }
-                // Control records block: the session's reply channel is
-                // FIFO, so a control ack arrives only after the receipts
-                // of the stream's earlier batches (which the session
-                // buffers for the drain below).
-                WalOp::Prefill(tuples) => {
-                    let _ = session.prefill_batch(&tuples);
-                }
-                WalOp::AdvanceTo(t) => {
-                    let _ = session.advance_to(t)?;
-                }
-                WalOp::WarmStart(opts) => {
-                    let _ = session.warm_start(&opts)?;
-                }
-            }
-        }
-    }
-    // Replayed batch outcomes are not propagated (see `recover_pool_wal`).
-    for (session, _) in &mut lanes {
-        while session.recv_receipt().is_some() {}
-    }
-    Ok(())
-}
-
-/// Submits one replayed ingest batch without waiting for its receipt.
-/// On a saturated shard it collects the stream's oldest receipt and
-/// retries, so the shard's queue depth bounds the work in flight; a
-/// stream with nothing of its own in flight blocks for queue space
-/// instead.
-fn submit(session: &mut StreamSession, tuples: &[StreamTuple]) -> Result<(), SnsError> {
-    loop {
-        match session.try_ingest_batch(tuples) {
-            Ok(_) => return Ok(()),
-            Err(SnsError::Backpressure { .. }) if session.in_flight() > 0 => {
-                let _ = session.recv_receipt();
-            }
-            Err(SnsError::Backpressure { .. }) => {
-                let _ = session.ingest_batch(tuples);
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    Ok((pool.recover_all(streams)?, replayed))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sns_core::config::{AlgorithmKind, SnsConfig};
-    use sns_runtime::{ChaosConfig, EngineSpec, PoolConfig};
+    use sns_runtime::{EngineSpec, PoolConfig};
+    use sns_stream::StreamTuple;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("sns-wal-test-{tag}-{}", std::process::id()));
@@ -694,9 +588,9 @@ mod tests {
             .collect()
     }
 
-    fn journal_all(wal: &WalSet, stream_id: u64, records: &[(u64, JournalOp<'_>)]) {
+    fn journal_all(wal: &WalSet, stream_id: u64, records: &[(u64, JournalOp)]) {
         for (seq, op) in records {
-            wal.record(JournalEntry { stream_id, seq: *seq, ticket: *seq, op: *op });
+            wal.record(JournalEntry { stream_id, seq: *seq, ticket: *seq, op });
         }
         assert_eq!(wal.error().map(|e| e.to_string()), None);
     }
@@ -711,18 +605,18 @@ mod tests {
             &wal,
             3,
             &[
-                (5, JournalOp::Prefill(&batch)),
-                (6, JournalOp::WarmStart(&opts)),
-                (11, JournalOp::Ingest(&batch)),
+                (5, JournalOp::Prefill(batch.clone())),
+                (6, JournalOp::WarmStart(opts.clone())),
+                (11, JournalOp::Ingest(batch.clone())),
                 (12, JournalOp::AdvanceTo(99)),
             ],
         );
         let tail = wal.read_tail(3, 0).unwrap();
         assert_eq!(tail.len(), 4);
-        assert_eq!(tail[0].op, WalOp::Prefill(batch.clone()));
-        assert_eq!(tail[1].op, WalOp::WarmStart(opts));
-        assert_eq!(tail[2].op, WalOp::Ingest(batch));
-        assert_eq!(tail[3].op, WalOp::AdvanceTo(99));
+        assert_eq!(tail[0].op, JournalOp::Prefill(batch.clone()));
+        assert_eq!(tail[1].op, JournalOp::WarmStart(opts));
+        assert_eq!(tail[2].op, JournalOp::Ingest(batch));
+        assert_eq!(tail[3].op, JournalOp::AdvanceTo(99));
         assert_eq!(wal.read_tail(3, 6).unwrap().len(), 2, "tail filter is seq > after_seq");
         assert_eq!(wal.read_tail(3, 12).unwrap().len(), 0);
         let _ = fs::remove_dir_all(&dir);
@@ -733,7 +627,7 @@ mod tests {
         let dir = temp_dir("torn");
         let wal = WalSet::create(&dir).unwrap();
         let batch = tuples(3, 0);
-        journal_all(&wal, 1, &[(3, JournalOp::Ingest(&batch)), (4, JournalOp::AdvanceTo(7))]);
+        journal_all(&wal, 1, &[(3, JournalOp::Ingest(batch)), (4, JournalOp::AdvanceTo(7))]);
         drop(wal);
         let path = dir.join(segment_file_name(1, 0));
         let full = fs::read(&path).unwrap();
@@ -791,8 +685,9 @@ mod tests {
         }
         // Writer-side idempotence: re-recording an old seq is a no-op.
         let wal = WalSet::create(&dir).unwrap();
-        wal.record(JournalEntry { stream_id: 9, seq: 2, ticket: 0, op: JournalOp::AdvanceTo(9) });
-        wal.record(JournalEntry { stream_id: 9, seq: 1, ticket: 0, op: JournalOp::AdvanceTo(9) });
+        let op = &JournalOp::AdvanceTo(9);
+        wal.record(JournalEntry { stream_id: 9, seq: 2, ticket: 0, op });
+        wal.record(JournalEntry { stream_id: 9, seq: 1, ticket: 0, op });
         assert_eq!(wal.error().map(|e| e.to_string()), None);
         assert_eq!(wal.read_tail(9, 0).unwrap().len(), 2);
         let _ = fs::remove_dir_all(&dir);
@@ -814,35 +709,6 @@ mod tests {
         wal.rotate(4, 1, 99).unwrap();
         assert_eq!(wal.read_tail(4, 0).unwrap().len(), 1);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// A replayed batch that finds its shard's queue full of *another*
-    /// stream's commands has no receipt of its own to wait for: it must
-    /// block for queue space, not spin or drop the batch.
-    #[test]
-    fn replay_submit_waits_out_a_shard_full_of_another_stream() {
-        let config = SnsConfig { rank: 2, theta: 2, ..Default::default() };
-        let spec = EngineSpec::sns(&[4, 3], 3, 10, AlgorithmKind::PlusRnd, &config);
-        let slow =
-            spec.clone().with_chaos(ChaosConfig { delay_micros: 2_000, ..Default::default() });
-        let pool = EnginePool::new(PoolConfig { shards: 1, queue_depth: 1, ..Default::default() });
-        let mut busy = pool.open(1, slow).unwrap();
-        let mut idle = pool.open(2, spec).unwrap();
-        // Each busy batch keeps the worker ~40 ms: once it is into the
-        // first, a second fills the one-command queue behind it.
-        let _ = busy.try_ingest_batch(&tuples(20, 0)).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        while let Err(SnsError::Backpressure { .. }) = busy.try_ingest_batch(&tuples(20, 20)) {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        submit(&mut idle, &tuples(5, 0)).unwrap();
-        while idle.recv_receipt().is_some() {}
-        assert_eq!(idle.report().unwrap().error, None);
-        assert_eq!(
-            pool.ops().metrics().stream(2).tuples.load(std::sync::atomic::Ordering::Relaxed),
-            5
-        );
-        while busy.recv_receipt().is_some() {}
     }
 
     #[test]

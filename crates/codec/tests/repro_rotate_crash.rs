@@ -1,4 +1,5 @@
 use sns_codec::store::CheckpointStore;
+use sns_codec::to_bytes;
 use sns_codec::wal::{recover_pool_wal, WalSet};
 use sns_core::config::{AlgorithmKind, SnsConfig};
 use sns_runtime::{BatchJournal, EnginePool, EngineSpec, PoolConfig};
@@ -18,14 +19,26 @@ fn crash_right_after_rotation_then_recover_twice() {
     let config = SnsConfig { rank: 2, theta: 2, ..Default::default() };
     let spec = EngineSpec::sns(&[4, 3], 3, 10, AlgorithmKind::PlusRnd, &config);
     let trace = tuples(60, 0);
-
-    {
-        let pool = EnginePool::new(PoolConfig {
+    let journaled_pool = |wal: &Arc<WalSet>| {
+        EnginePool::new(PoolConfig {
             shards: 1,
             base_seed: 7,
-            journal: Some(Arc::clone(&wal) as Arc<dyn BatchJournal>),
+            journal: Some(Arc::clone(wal) as Arc<dyn BatchJournal>),
             ..Default::default()
-        });
+        })
+    };
+
+    // Reference: an uninterrupted journaled run over the 50 tuples the
+    // doomed run acknowledges (journaled too, so `wal_seq` matches).
+    let reference = {
+        let pool = journaled_pool(&Arc::new(WalSet::create(dir.join("ref-wal")).unwrap()));
+        let mut s = pool.open(5, spec.clone()).unwrap();
+        let _ = s.ingest_batch(&trace[..50]).unwrap();
+        to_bytes(&s.snapshot().unwrap())
+    };
+
+    {
+        let pool = journaled_pool(&wal);
         let mut s = pool.open(5, spec.clone()).unwrap();
         let _ = s.ingest_batch(&trace[..40]).unwrap();
         let snapshots: Vec<_> =
@@ -45,12 +58,7 @@ fn crash_right_after_rotation_then_recover_twice() {
     // First recovery on a reopened WalSet.
     let wal = Arc::new(WalSet::create(dir.join("wal")).unwrap());
     {
-        let pool = EnginePool::new(PoolConfig {
-            shards: 1,
-            base_seed: 7,
-            journal: Some(Arc::clone(&wal) as Arc<dyn BatchJournal>),
-            ..Default::default()
-        });
+        let pool = journaled_pool(&wal);
         let (sessions, replayed) = recover_pool_wal(&pool, &store, &wal).unwrap();
         assert_eq!(replayed, 10);
         assert!(wal.error().is_none(), "wal error: {:?}", wal.error());
@@ -59,10 +67,20 @@ fn crash_right_after_rotation_then_recover_twice() {
     }
     drop(wal);
 
-    // Second crash + recovery: must also succeed.
+    // Second crash + recovery: must also succeed, and end where the
+    // uninterrupted run did.
     let wal = Arc::new(WalSet::create(dir.join("wal")).unwrap());
     let tail = wal.read_tail(5, 40);
-    println!("second read_tail: {:?}", tail.as_ref().map(|t| t.len()));
     tail.expect("read_tail after rotate-crash-recover cycle must not report corruption");
+    let pool = journaled_pool(&wal);
+    let (mut sessions, replayed) = recover_pool_wal(&pool, &store, &wal).unwrap();
+    assert_eq!(replayed, 10);
+    assert!(wal.error().is_none(), "wal error: {:?}", wal.error());
+    assert!(
+        to_bytes(&sessions[0].snapshot().unwrap()) == reference,
+        "the second recovery diverged from the uninterrupted run"
+    );
+    drop(sessions);
+    pool.join();
     let _ = std::fs::remove_dir_all(&dir);
 }

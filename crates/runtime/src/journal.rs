@@ -16,7 +16,10 @@
 //!   ack has been sent: the client-visible hot path never waits on the
 //!   sink, but a slow sink does occupy the worker (pick the fsync
 //!   policy accordingly). Calls for one stream arrive in exactly the
-//!   order the engine applied the operations.
+//!   order the engine applied the operations. The one exception is a
+//!   restore that carries a journal tail: the worker replays the tail,
+//!   records each replayed operation (under the restore's ticket, 0),
+//!   and only then acknowledges the restore.
 //! - `record` is infallible by signature. A sink that hits an I/O error
 //!   must swallow it and surface it out of band (a sticky error the
 //!   operator polls) — the alternative, failing live traffic because
@@ -40,27 +43,34 @@
 //! agree on every sequence number. Snapshots capture the counter
 //! ([`EngineSnapshot::wal_seq`](crate::EngineSnapshot)), so recovery is
 //! "restore snapshot, replay journal records with `seq >` the
-//! snapshot's".
+//! snapshot's": [`EnginePool::recover_all`](crate::EnginePool::recover_all)
+//! ships each stream's tail inside its restore, and the shard worker
+//! rebuilds the engine and replays the tail through the same function
+//! that rolls a panicked batch group back. Replayed operations are
+//! recorded again, so a sink must skip sequence numbers it already
+//! holds (the codec's WAL does).
 //!
 //! [`PoolConfig::journal`]: crate::PoolConfig
 
 use sns_core::als::AlsOptions;
 use sns_stream::StreamTuple;
 
-/// One journaled stream operation, borrowed from the worker's command.
-#[derive(Debug, Clone, Copy)]
-pub enum JournalOp<'a> {
+/// One stream operation: what a session submits, what the shard worker
+/// applies, what the journal records and what recovery replays — one
+/// type from the session to the WAL and back.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JournalOp {
     /// Tuples loaded into the window without factor updates.
-    Prefill(&'a [StreamTuple]),
+    Prefill(Vec<StreamTuple>),
     /// Tuples ingested live (with factor updates).
-    Ingest(&'a [StreamTuple]),
+    Ingest(Vec<StreamTuple>),
     /// The stream clock was advanced to this time.
     AdvanceTo(u64),
     /// A batch ALS warm start ran with these options.
-    WarmStart(&'a AlsOptions),
+    WarmStart(AlsOptions),
 }
 
-impl JournalOp<'_> {
+impl JournalOp {
     /// How many WAL sequence units this operation advances the stream
     /// by: one per tuple for batches, one for clock/warm-start ops.
     pub fn units(&self) -> u64 {
@@ -96,7 +106,7 @@ pub struct JournalEntry<'a> {
     /// cursor).
     pub ticket: u64,
     /// The operation itself.
-    pub op: JournalOp<'a>,
+    pub op: &'a JournalOp,
 }
 
 /// A sink for accepted stream operations — the write-ahead-log hook the
@@ -119,20 +129,19 @@ mod tests {
             StreamTuple::new([1u32, 1], 2.0, 1),
             StreamTuple::new([2u32, 2], 3.0, 2),
         ];
-        assert_eq!(JournalOp::Prefill(&tuples).units(), 3);
-        assert_eq!(JournalOp::Ingest(&tuples[..1]).units(), 1);
+        assert_eq!(JournalOp::Prefill(tuples.clone()).units(), 3);
+        assert_eq!(JournalOp::Ingest(tuples[..1].to_vec()).units(), 1);
         assert_eq!(JournalOp::AdvanceTo(99).units(), 1);
-        assert_eq!(JournalOp::WarmStart(&AlsOptions::default()).units(), 1);
+        assert_eq!(JournalOp::WarmStart(AlsOptions::default()).units(), 1);
     }
 
     #[test]
     fn kinds_are_distinct() {
-        let opts = AlsOptions::default();
         let ops = [
-            JournalOp::Prefill(&[]),
-            JournalOp::Ingest(&[]),
+            JournalOp::Prefill(Vec::new()),
+            JournalOp::Ingest(Vec::new()),
             JournalOp::AdvanceTo(0),
-            JournalOp::WarmStart(&opts),
+            JournalOp::WarmStart(AlsOptions::default()),
         ];
         let mut kinds: Vec<_> = ops.iter().map(|o| o.kind()).collect();
         kinds.sort_unstable();

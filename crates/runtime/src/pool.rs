@@ -24,17 +24,15 @@
 //!   [`BatchReceipt`] reporting tuples accepted and factor updates
 //!   applied, and failures are typed [`SnsError`]s carrying how far the
 //!   batch got;
-//! - the command pipeline is **coalescing**: each batch carries its
-//!   tuples in one owned buffer (dropped once the batch is applied), and
-//!   a shard worker drains every consecutively queued batch (prefill or
-//!   ingest) for a stream in one channel acquisition and applies them as
-//!   sequential per-batch engine calls under one rollback capture —
-//!   bitwise-identical to per-batch execution because the per-tuple
-//!   update sequence is untouched;
+//! - every stream operation is one [`JournalOp`], from the session's
+//!   command to the journal record; a shard worker applies consecutively
+//!   queued batches of one stream as a group under one rollback capture,
+//!   bitwise-identical to per-batch execution;
 //! - a live stream can **migrate**: [`StreamSession::snapshot`] captures
 //!   the complete engine state ([`EngineSnapshot`]) and
 //!   [`EnginePool::restore`] resumes it on any shard (or another pool),
-//!   bitwise-identically;
+//!   bitwise-identically; [`EnginePool::recover_all`] also replays each
+//!   stream's journal tail on its worker;
 //! - failures stay **per-stream**: an engine error is returned on that
 //!   batch's receipt and recorded in the stream's [`StreamReport`]; an
 //!   engine that *panics* is quarantined while every other stream on the
@@ -52,7 +50,7 @@
 use crate::anomaly::AnomalySummary;
 use crate::journal::{BatchJournal, JournalEntry, JournalOp};
 use crate::ops::{PoolDeadLetter, PoolOps, QuarantinePolicy};
-use crate::snapshot::EngineSnapshot;
+use crate::snapshot::{EngineSnapshot, EngineState};
 use crate::spec::EngineSpec;
 use crate::streaming::{BatchOutcome, StreamingCpd};
 use sns_core::als::AlsOptions;
@@ -200,26 +198,19 @@ enum Command {
         spec: EngineSpec,
         replies: Sender<SessionReply>,
     },
+    /// Installs a snapshot, first replaying `tail` (the stream's journal
+    /// tail, possibly empty) on it — see [`rebuild`].
     Restore {
         head: Head,
         snapshot: Box<EngineSnapshot>,
+        tail: Vec<JournalOp>,
         replies: Sender<SessionReply>,
     },
-    /// A tuple batch, prefilled or ingested according to `op`. The
-    /// worker coalesces consecutively queued batches of one session into
-    /// a group (see [`Worker::apply_group`]).
-    Batch {
+    /// One stream operation: a tuple batch (coalesced, see
+    /// [`Worker::apply_group`]) or a control op ([`Worker::control`]).
+    Apply {
         head: Head,
-        op: QuarantinedOp,
-        tuples: Vec<StreamTuple>,
-    },
-    WarmStart {
-        head: Head,
-        opts: AlsOptions,
-    },
-    AdvanceTo {
-        head: Head,
-        t: u64,
+        op: JournalOp,
     },
     Report(Head),
     Snapshot(Head),
@@ -235,18 +226,14 @@ enum Command {
     /// (after draining all previously enqueued commands) and reply on a
     /// dedicated channel. Per-stream consistency follows from command
     /// ordering; sessions stay open and unaffected.
-    CheckpointShard {
-        replies: Sender<CheckpointResults>,
-    },
+    CheckpointShard(Sender<CheckpointResults>),
     /// Unconditional slot removal (any token): open/restore send this to
     /// the shard that previously owned the stream id (per the pool's
     /// ownership map) so the id lives on at most one shard. Ordering is
     /// guaranteed by the per-stream ownership lock: an `Evict` is always
     /// enqueued after the install command that made its target shard the
     /// owner, so it can never remove a newer slot.
-    Evict {
-        id: u64,
-    },
+    Evict(u64),
     Shutdown,
 }
 
@@ -289,6 +276,58 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// An engine constructor (or snapshot rebuild) that panicked on a worker.
 fn build_failed(stream_id: u64, payload: Box<dyn std::any::Any + Send>) -> SnsError {
     SnsError::EngineBuildFailed { stream_id, message: panic_message(payload) }
+}
+
+/// Applies one operation to an engine: the only place the pool turns a
+/// [`JournalOp`] into engine calls.
+fn apply(engine: &mut dyn StreamingCpd, op: &JournalOp) -> Result<BatchOutcome, SnsError> {
+    match op {
+        JournalOp::Prefill(tuples) => {
+            engine.prefill_all(tuples).map(|accepted| BatchOutcome { accepted, updates: 0 })
+        }
+        JournalOp::Ingest(tuples) => engine.ingest_all(tuples),
+        JournalOp::AdvanceTo(t) => {
+            Ok(BatchOutcome { accepted: 0, updates: engine.advance_to(*t) as u64 })
+        }
+        JournalOp::WarmStart(opts) => {
+            engine.warm_start(opts);
+            Ok(NOTHING)
+        }
+    }
+}
+
+/// Whether `op` is a tuple batch (coalesced, dead-lettered) rather than
+/// a clock or warm-start op.
+fn is_batch(op: &JournalOp) -> bool {
+    matches!(op, JournalOp::Prefill(_) | JournalOp::Ingest(_))
+}
+
+/// One applied operation's outcome and the engine's flagged-anomaly
+/// counter after it.
+type Applied = (Result<BatchOutcome, SnsError>, Option<u64>);
+
+/// The pool's one rebuild path: a captured `state` plus the operations
+/// applied since it was captured, in order. Engines are deterministic,
+/// so the result is bitwise the engine those operations left behind.
+/// It rolls a panicked batch group back (the group's capture plus its
+/// completed segments) and installs a `Restore` (a snapshot plus its
+/// journal tail). A state that does not rebuild fails typed; a panic
+/// anywhere fails with [`SnsError::EngineBuildFailed`].
+fn rebuild<'a>(
+    stream_id: u64,
+    state: EngineState,
+    ops: impl IntoIterator<Item = &'a JournalOp>,
+) -> Result<(Box<dyn StreamingCpd>, Vec<Applied>), SnsError> {
+    let rebuilt = catch_unwind(AssertUnwindSafe(|| {
+        let mut engine = state.into_engine()?;
+        let mut outcomes = Vec::new();
+        for op in ops {
+            let outcome = apply(engine.as_mut(), op);
+            outcomes.push((outcome, engine.anomalies().map(|a| a.flagged)));
+        }
+        Ok((engine, outcomes))
+    }));
+    rebuilt.unwrap_or_else(|payload| Err(build_failed(stream_id, payload)))
 }
 
 struct StreamSlot {
@@ -334,10 +373,7 @@ impl StreamSlot {
     ) -> Self {
         let metrics = w.ops.metrics().stream(head.id);
         metrics.shard.store(w.shard, Ordering::Relaxed);
-        let (engine, error) = match engine {
-            Ok(engine) => (Some(engine), None),
-            Err(e) => (None, Some(e)),
-        };
+        let (error, engine) = (engine.as_ref().err().cloned(), engine.ok());
         StreamSlot {
             id: head.id,
             name: engine.as_ref().map_or_else(String::new, |e| e.name()),
@@ -409,19 +445,11 @@ impl StreamSlot {
     }
 
     fn report(&mut self) -> StreamReport {
-        let metrics = self
-            .guard(|e| {
-                Ok((
-                    e.fitness(),
-                    e.updates_applied(),
-                    e.num_parameters(),
-                    e.diverged(),
-                    e.anomalies(),
-                ))
-            })
-            .ok();
+        let health = |e: &mut dyn StreamingCpd| {
+            Ok((e.fitness(), e.updates_applied(), e.num_parameters(), e.diverged(), e.anomalies()))
+        };
         let (fitness, updates_applied, num_parameters, diverged, anomalies) =
-            metrics.unwrap_or((f64::NAN, 0, 0, false, None));
+            self.guard(health).unwrap_or((f64::NAN, 0, 0, false, None));
         StreamReport {
             stream_id: self.id,
             name: self.name.clone(),
@@ -449,13 +477,6 @@ impl StreamSlot {
     }
 }
 
-/// One batch of a coalesced group.
-struct Segment {
-    head: Head,
-    op: QuarantinedOp,
-    tuples: Vec<StreamTuple>,
-}
-
 /// A shard worker's fixed context: everything its commands need besides
 /// the stream slots.
 struct Worker {
@@ -477,7 +498,7 @@ impl Worker {
     }
 
     /// Installs an `Open`/`Restore` slot: acknowledges it (with its build
-    /// error, if any), replaces any previous slot of the id, and
+    /// error, if it is dark), replaces any previous slot of the id, and
     /// publishes `event`.
     fn install(
         &self,
@@ -487,7 +508,8 @@ impl Worker {
         event: Option<PoolEvent>,
     ) {
         let id = slot.id;
-        slot.acknowledge(head, slot.error.clone().map_or(Ok(NOTHING), Err));
+        let ack = slot.engine.as_ref().map(|_| NOTHING).ok_or_else(|| slot.dark_error());
+        slot.acknowledge(head, ack);
         if slots.insert(id, slot).is_some() {
             self.evicted(id, EvictReason::Replaced);
         }
@@ -506,119 +528,87 @@ impl Worker {
     /// order — and the RNG draw order the `_RND` families depend on — is
     /// untouched and results stay **bitwise** equal to per-batch (and
     /// serial) execution. Each segment is acknowledged and journaled as
-    /// soon as it completes. What grouping amortizes is the slot lookup,
-    /// the rollback capture, and the stream-metrics flush: one per group.
+    /// soon as it completes. What grouping amortizes is the slot lookup
+    /// and the rollback capture: one per group.
     ///
     /// Segments the slot cannot apply (quarantined or dark) go to
-    /// [`Worker::reject`]. A panic at segment `k` rolls the engine back to
-    /// the group's pre-state and re-applies the `k` completed segments
-    /// (engines are deterministic, so this rebuilds bitwise the state
-    /// per-batch execution leaves), quarantines the stream, and diverts
-    /// segment `k` to the DLQ; the remainder is then refused like any
-    /// batch arriving after the panic.
+    /// [`Worker::reject`]. A panic at segment `k` [`rebuild`]s the engine
+    /// from the group's pre-state and the `k` completed segments (the
+    /// state per-batch execution leaves), quarantines the stream, and
+    /// diverts segment `k` to the DLQ; the remainder is then refused like
+    /// any batch arriving after the panic.
     ///
     /// Applied segments keep their buffers in `group` (a rollback may
     /// re-apply them); the caller drops them.
-    fn apply_group(&self, s: &mut StreamSlot, group: &mut [Segment]) {
-        fn run(
-            engine: &mut dyn StreamingCpd,
-            op: QuarantinedOp,
-            tuples: &[StreamTuple],
-        ) -> Result<BatchOutcome, SnsError> {
-            match op {
-                QuarantinedOp::Prefill => {
-                    engine.prefill_all(tuples).map(|accepted| BatchOutcome { accepted, updates: 0 })
-                }
-                QuarantinedOp::Ingest => engine.ingest_all(tuples),
-            }
-        }
+    fn apply_group(&self, s: &mut StreamSlot, group: &mut [(Head, JournalOp)]) {
         let mut pre = match (&s.engine, self.policy) {
             (Some(engine), QuarantinePolicy::Rollback) if !s.quarantined => engine.snapshot().ok(),
             _ => None,
         };
-        let (mut batches, mut accepted, mut updates, mut errors) = (0u64, 0u64, 0u64, 0u64);
         for k in 0..group.len() {
-            let (head, op) = (group[k].head, group[k].op);
-            let ticket = head.ticket;
+            let (head, op) = (group[k].0, &mut group[k].1);
             let Some(engine) = s.engine.as_mut().filter(|_| !s.quarantined) else {
-                self.reject(s, head, op, std::mem::take(&mut group[k].tuples));
+                self.reject(s, head, op);
                 continue;
             };
             // The anomaly counter is read after every segment so the
             // edge-triggered AnomalyFlagged events match per-batch runs.
             let applied = catch_unwind(AssertUnwindSafe(|| {
-                let outcome = run(engine.as_mut(), op, &group[k].tuples);
+                let outcome = apply(engine.as_mut(), op);
                 (outcome, engine.anomalies().map(|a| a.flagged))
             }));
             match applied {
-                Ok((outcome, flagged)) => {
-                    match &outcome {
-                        Ok(o) => {
-                            batches += 1;
-                            accepted += o.accepted as u64;
-                            updates += o.updates;
-                            if let Some(flagged) = flagged.filter(|&f| f > s.last_flagged) {
-                                s.last_flagged = flagged;
-                                self.publish(PoolEvent::AnomalyFlagged {
-                                    stream_id: s.id,
-                                    shard: self.shard,
-                                    flagged,
-                                });
-                            }
-                        }
-                        Err(e) => {
-                            errors += 1;
-                            s.error.get_or_insert(e.clone());
-                        }
-                    }
-                    s.acknowledge(head, outcome);
+                Ok(applied) => {
+                    self.tally(s, &applied);
+                    s.acknowledge(head, applied.0);
                     // A typed error is journaled in full too: the engine
                     // applied the accepted prefix, and deterministic
                     // replay of the same tuples reproduces exactly that
                     // prefix (and error).
-                    let tuples = &group[k].tuples;
-                    let jop = match op {
-                        QuarantinedOp::Prefill => JournalOp::Prefill(tuples),
-                        QuarantinedOp::Ingest => JournalOp::Ingest(tuples),
-                    };
-                    self.record(s, ticket, jop);
+                    self.record(s, head.ticket, op);
                 }
                 Err(payload) => {
                     self.ops.metrics().shard(self.shard).panics.fetch_add(1, Ordering::Relaxed);
-                    errors += 1;
+                    s.metrics.errors.fetch_add(1, Ordering::Relaxed);
                     let e = SnsError::EnginePanicked {
                         stream_id: s.id,
                         message: panic_message(payload),
                     };
                     s.error.get_or_insert(e.clone());
-                    // Roll back and re-apply the completed prefix; its
-                    // outcomes are deterministic, already reported, and
-                    // not re-reported. Without a pre-group capture, or if
-                    // the re-apply panics, the engine state is
-                    // untrustworthy and the slot goes dark.
-                    let prefix = &group[..k];
-                    let rolled_back = pre.take().and_then(|state| state.into_engine().ok());
-                    s.engine = rolled_back.and_then(|mut engine| {
-                        let replay = catch_unwind(AssertUnwindSafe(|| {
-                            for seg in prefix {
-                                let _ = run(engine.as_mut(), seg.op, &seg.tuples);
-                            }
-                        }));
-                        replay.ok().map(|()| engine)
-                    });
+                    self.divert(s, head.ticket, op, e.clone());
+                    // The completed prefix's outcomes are already
+                    // reported and not re-reported. Without a pre-group
+                    // capture, or if the rebuild fails, the engine state
+                    // is untrustworthy and the slot goes dark.
+                    let prefix = group[..k].iter().map(|(_, op)| op);
+                    let rolled_back = pre.take().map(|state| rebuild(s.id, state, prefix));
+                    s.engine = rolled_back.and_then(Result::ok).map(|(engine, _)| engine);
                     s.quarantined = s.engine.is_some();
-                    self.divert(s, ticket, op, std::mem::take(&mut group[k].tuples), e.clone());
                     s.acknowledge(head, Err(e));
                 }
             }
         }
-        if batches > 0 {
-            s.metrics.batches.fetch_add(batches, Ordering::Relaxed);
-            s.metrics.tuples.fetch_add(accepted, Ordering::Relaxed);
-            s.metrics.updates.fetch_add(updates, Ordering::Relaxed);
-        }
-        if errors > 0 {
-            s.metrics.errors.fetch_add(errors, Ordering::Relaxed);
+    }
+
+    /// Accounts one applied tuple batch: the stream's batch, tuple,
+    /// update and error counters, its sticky error, and an
+    /// edge-triggered [`PoolEvent::AnomalyFlagged`] when the engine's
+    /// flagged counter rose.
+    fn tally(&self, s: &mut StreamSlot, (outcome, flagged): &Applied) {
+        let o = match outcome {
+            Ok(o) => o,
+            Err(e) => {
+                s.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                s.error.get_or_insert(e.clone());
+                return;
+            }
+        };
+        s.metrics.batches.fetch_add(1, Ordering::Relaxed);
+        s.metrics.tuples.fetch_add(o.accepted as u64, Ordering::Relaxed);
+        s.metrics.updates.fetch_add(o.updates, Ordering::Relaxed);
+        if let Some(flagged) = flagged.filter(|&f| f > s.last_flagged) {
+            s.last_flagged = flagged;
+            self.publish(PoolEvent::AnomalyFlagged { stream_id: s.id, shard: self.shard, flagged });
         }
     }
 
@@ -626,29 +616,28 @@ impl Worker {
     /// diverts it to the dead-letter queue behind the batch that
     /// panicked, keeping the stream's chronology for the replay; a dark
     /// slot drops the batch and acknowledges with the sticky error.
-    fn reject(&self, s: &StreamSlot, head: Head, op: QuarantinedOp, tuples: Vec<StreamTuple>) {
+    fn reject(&self, s: &StreamSlot, head: Head, op: &mut JournalOp) {
         if s.quarantined {
             let pending = self.ops.dlq().pending(s.id) + 1;
             let err = SnsError::StreamQuarantined { stream_id: s.id, pending };
-            self.divert(s, head.ticket, op, tuples, err.clone());
+            self.divert(s, head.ticket, op, err.clone());
             s.acknowledge(head, Err(err));
         } else {
             s.acknowledge(head, Err(s.dark_error()));
         }
     }
 
-    /// Records a batch to the dead-letter queue and publishes the
+    /// Moves a batch's tuples to the dead-letter queue and publishes the
     /// quarantine event.
-    fn divert(
-        &self,
-        s: &StreamSlot,
-        ticket: u64,
-        op: QuarantinedOp,
-        tuples: Vec<StreamTuple>,
-        error: SnsError,
-    ) {
+    fn divert(&self, s: &StreamSlot, ticket: u64, op: &mut JournalOp, error: SnsError) {
+        let (kind, tuples) = match op {
+            JournalOp::Prefill(tuples) => (QuarantinedOp::Prefill, std::mem::take(tuples)),
+            JournalOp::Ingest(tuples) => (QuarantinedOp::Ingest, std::mem::take(tuples)),
+            // Only tuple batches are grouped, hence diverted.
+            JournalOp::AdvanceTo(_) | JournalOp::WarmStart(_) => return,
+        };
         let count = tuples.len();
-        self.ops.dlq().quarantine(s.id, self.shard, ticket, op, tuples, error, s.spec.clone());
+        self.ops.dlq().quarantine(s.id, self.shard, ticket, kind, tuples, error, s.spec.clone());
         s.metrics.quarantined.fetch_add(1, Ordering::Relaxed);
         self.publish(PoolEvent::TupleQuarantined {
             stream_id: s.id,
@@ -658,23 +647,17 @@ impl Worker {
         });
     }
 
-    /// Runs a control command (warm start, clock advance). It is refused
+    /// Runs a control op (warm start, clock advance). It is refused
     /// while the stream is quarantined: a warm start would bake the
     /// missing batches into the factors, and a clock advance would
     /// desynchronize their replay chronology. Otherwise it is guarded,
     /// acknowledged, and journaled once applied.
-    fn control(
-        &self,
-        s: &mut StreamSlot,
-        head: Head,
-        jop: JournalOp<'_>,
-        f: impl FnOnce(&mut dyn StreamingCpd) -> BatchOutcome,
-    ) {
+    fn control(&self, s: &mut StreamSlot, head: Head, op: &JournalOp) {
         let outcome = if s.quarantined {
             let pending = self.ops.dlq().pending(s.id);
             Err(SnsError::StreamQuarantined { stream_id: s.id, pending })
         } else {
-            s.guard(|e| Ok(f(e)))
+            s.guard(|e| apply(e, op))
         };
         if outcome.is_err() {
             s.metrics.errors.fetch_add(1, Ordering::Relaxed);
@@ -682,7 +665,7 @@ impl Worker {
         let applied = outcome.is_ok();
         s.acknowledge(head, outcome);
         if applied {
-            self.record(s, head.ticket, jop);
+            self.record(s, head.ticket, op);
         }
     }
 
@@ -690,7 +673,7 @@ impl Worker {
     /// ack) and publishes the matching [`PoolEvent::BatchApplied`] event.
     /// A no-op on journal-less pools and for empty batches (they change
     /// no state and carry no sequence).
-    fn record(&self, s: &mut StreamSlot, ticket: u64, op: JournalOp<'_>) {
+    fn record(&self, s: &mut StreamSlot, ticket: u64, op: &JournalOp) {
         let Some(journal) = &self.journal else { return };
         let units = op.units();
         if units == 0 {
@@ -726,7 +709,7 @@ fn worker_loop(w: Worker, rx: Receiver<Command>) {
     // different stream/kind; processed (already counted) next turn.
     let mut carry: Option<Command> = None;
     // Reusable scratch for coalesced batch groups.
-    let mut group: Vec<Segment> = Vec::new();
+    let mut group: Vec<(Head, JournalOp)> = Vec::new();
     loop {
         let cmd = match carry.take() {
             Some(cmd) => cmd,
@@ -750,39 +733,52 @@ fn worker_loop(w: Worker, rx: Receiver<Command>) {
                 });
                 w.install(&mut slots, head, slot, opened);
             }
-            Command::Restore { head, snapshot, replies } => {
+            Command::Restore { head, snapshot, tail, replies } => {
                 let EngineSnapshot { spec, seed, state, wal_seq, .. } = *snapshot;
-                let built = catch_unwind(AssertUnwindSafe(|| state.into_engine()));
-                match built.unwrap_or_else(|payload| Err(build_failed(head.id, payload))) {
-                    Ok(engine) => {
-                        let slot =
+                match rebuild(head.id, state, &tail) {
+                    Ok((engine, replayed)) => {
+                        let mut s =
                             StreamSlot::new(&w, head, spec, seed, Ok(engine), wal_seq, replies);
+                        // Replayed outcomes are counted and journaled like
+                        // live ones but not acknowledged: a typed error
+                        // reproduces the one the first run acknowledged.
+                        for (op, applied) in tail.iter().zip(&replayed) {
+                            if is_batch(op) {
+                                w.tally(&mut s, applied);
+                            }
+                            w.record(&mut s, head.ticket, op);
+                        }
                         let migrated =
                             PoolEvent::StreamMigrated { stream_id: head.id, shard: w.shard };
-                        w.install(&mut slots, head, slot, Some(migrated));
+                        w.install(&mut slots, head, s, Some(migrated));
                     }
+                    // An inconsistent snapshot, or a tail that panics,
+                    // installs nothing; the caller sees the typed error.
                     Err(e) => {
-                        // An inconsistent snapshot installs nothing; the
-                        // caller sees the typed error on the open ack.
-                        let body = ReplyBody::Receipt(Err(e));
-                        let _ = replies.send(SessionReply { head, body });
+                        let _ =
+                            replies.send(SessionReply { head, body: ReplyBody::Receipt(Err(e)) });
                     }
                 }
             }
-            Command::Batch { head, op, tuples } => {
+            Command::Apply { head, op } if !is_batch(&op) => {
+                if let Some(s) = live(&mut slots, head) {
+                    w.control(s, head, &op);
+                }
+            }
+            Command::Apply { head, op } => {
                 // Coalesce: drain every already-queued consecutive batch
                 // of the same session in this one channel acquisition
-                // run and apply them as a single group. The first command
-                // for a different stream (or of a different kind) is
-                // carried into the next loop turn, preserving global
-                // submission order.
-                group.push(Segment { head, op, tuples });
+                // run and apply them as a single group. The first other
+                // command (another stream's, or a control op) is carried
+                // into the next loop turn, preserving global submission
+                // order.
+                group.push((head, op));
                 while carry.is_none() {
                     match rx.try_recv() {
-                        Ok(Command::Batch { head: next, op, tuples })
-                            if next.id == head.id && next.token == head.token =>
+                        Ok(Command::Apply { head: next, op })
+                            if is_batch(&op) && next.id == head.id && next.token == head.token =>
                         {
-                            group.push(Segment { head: next, op, tuples });
+                            group.push((next, op));
                         }
                         Ok(other) => carry = Some(other),
                         Err(_) => break,
@@ -799,22 +795,6 @@ fn worker_loop(w: Worker, rx: Receiver<Command>) {
                 }
                 // Drops the group's buffers, a stale session's included.
                 group.clear();
-            }
-            Command::WarmStart { head, opts } => {
-                if let Some(s) = live(&mut slots, head) {
-                    w.control(s, head, JournalOp::WarmStart(&opts), |e| {
-                        e.warm_start(&opts);
-                        NOTHING
-                    });
-                }
-            }
-            Command::AdvanceTo { head, t } => {
-                if let Some(s) = live(&mut slots, head) {
-                    w.control(s, head, JournalOp::AdvanceTo(t), |e| BatchOutcome {
-                        accepted: 0,
-                        updates: e.advance_to(t) as u64,
-                    });
-                }
             }
             Command::Release(head) => {
                 if let Some(s) = live(&mut slots, head) {
@@ -845,12 +825,12 @@ fn worker_loop(w: Worker, rx: Receiver<Command>) {
                     w.evicted(head.id, EvictReason::Closed);
                 }
             }
-            Command::CheckpointShard { replies } => {
+            Command::CheckpointShard(replies) => {
                 let out = slots.iter().map(|(&id, s)| (id, s.capture())).collect();
                 shard_metrics.checkpoints.fetch_add(1, Ordering::Relaxed);
                 let _ = replies.send(out);
             }
-            Command::Evict { id } => {
+            Command::Evict(id) => {
                 if slots.remove(&id).is_some() {
                     w.evicted(id, EvictReason::Evicted);
                 }
@@ -974,19 +954,20 @@ impl EnginePool {
         if shard >= self.senders.len() {
             return Err(SnsError::ShardOutOfRange { shard, shards: self.senders.len() });
         }
-        self.enqueue_restore(snapshot, shard).and_then(Self::installed)
+        self.enqueue_restore(shard, (snapshot, Vec::new())).and_then(Self::installed)
     }
 
-    /// [`EnginePool::enqueue_session`] for a `Restore` of `snapshot`.
+    /// [`EnginePool::enqueue_session`] for a `Restore` of a snapshot and
+    /// its journal tail.
     fn enqueue_restore(
         &self,
-        snapshot: EngineSnapshot,
         shard: usize,
+        (snapshot, tail): (EngineSnapshot, Vec<JournalOp>),
     ) -> Result<StreamSession, SnsError> {
-        let stream_id = snapshot.stream_id;
-        self.enqueue_session(stream_id, shard, |head, replies| Command::Restore {
+        self.enqueue_session(snapshot.stream_id, shard, |head, replies| Command::Restore {
             head,
             snapshot: Box::new(snapshot),
+            tail,
             replies,
         })
     }
@@ -1026,7 +1007,7 @@ impl EnginePool {
             if let Command::Restore { snapshot, .. } = &install {
                 snapshot.state.clone().into_engine()?;
             }
-            self.send(prev, Command::Evict { id: stream_id });
+            self.send(prev, Command::Evict(stream_id));
         }
         *owner = Some(shard);
         if !self.send(shard, install) {
@@ -1106,7 +1087,7 @@ impl EnginePool {
     fn checkpoint(&self, shards: Range<usize>) -> (CheckpointResults, bool) {
         let expected = shards.len();
         let (tx, rx) = channel();
-        let request = || Command::CheckpointShard { replies: tx.clone() };
+        let request = || Command::CheckpointShard(tx.clone());
         let sent = shards.filter(|&i| self.send(i, request())).count();
         drop(tx);
         let replies: Vec<CheckpointResults> = rx.iter().take(sent).collect();
@@ -1121,41 +1102,32 @@ impl EnginePool {
 
     /// Rebuilds every snapshotted stream on this pool, each on its
     /// stream id's home shard, and returns the live sessions in snapshot
-    /// order. Restored engines continue bitwise-identically — this is
-    /// the recovery half of [`EnginePool::checkpoint_all`], used after a
-    /// crash (typically with snapshots loaded from a
-    /// `CheckpointStore`). Every restore is enqueued before any ack is
-    /// awaited, so the shards rebuild their engines concurrently.
+    /// order — the recovery half of [`EnginePool::checkpoint_all`]. Each
+    /// snapshot comes with its journal tail (possibly empty), which the
+    /// stream's worker replays and journals again before it acknowledges
+    /// the restore, so restored streams continue bitwise-identically.
+    /// Every restore is enqueued before any ack is awaited, so the shards
+    /// rebuild their streams concurrently.
     ///
     /// # Errors
-    /// All-or-nothing: if a snapshot cannot be restored, every session
-    /// this call opened is closed and the first failure, in snapshot
-    /// order, is returned. A live session the call replaced stays gone:
-    /// recover onto a fresh pool.
+    /// All-or-nothing: if a snapshot does not rebuild or its tail panics
+    /// the engine, every session this call opened is closed and the first
+    /// failure, in snapshot order, is returned. A live session the call
+    /// replaced stays gone: recover onto a fresh pool.
     pub fn recover_all(
         &self,
-        snapshots: Vec<EngineSnapshot>,
+        streams: Vec<(EngineSnapshot, Vec<JournalOp>)>,
     ) -> Result<Vec<StreamSession>, SnsError> {
-        let pending: Vec<_> = snapshots
+        let pending: Vec<_> = streams
             .into_iter()
-            .map(|snapshot| {
-                let shard = self.shard_of(snapshot.stream_id);
-                self.enqueue_restore(snapshot, shard)
-            })
+            .map(|stream| self.enqueue_restore(self.shard_of(stream.0.stream_id), stream))
             .collect();
-        let mut opened = Vec::with_capacity(pending.len());
-        let mut failed = None;
-        for session in pending {
-            match session.and_then(Self::installed) {
-                Ok(session) => opened.push(session),
-                Err(e) => failed = failed.or(Some(e)),
-            }
-        }
-        if let Some(e) = failed {
-            opened.into_iter().for_each(StreamSession::close);
+        let installed: Vec<_> = pending.into_iter().map(|s| s.and_then(Self::installed)).collect();
+        if let Some(e) = installed.iter().find_map(|r| r.as_ref().err().cloned()) {
+            installed.into_iter().flatten().for_each(StreamSession::close);
             return Err(e);
         }
-        Ok(opened)
+        Ok(installed.into_iter().flatten().collect())
     }
 
     /// Shuts the workers down and waits for them to finish. Sessions
@@ -1295,10 +1267,9 @@ impl StreamSession {
         }
     }
 
-    /// Submits one tuple batch and blocks for its receipt.
-    fn batch(&mut self, op: QuarantinedOp, tuples: &[StreamTuple]) -> Receipt {
-        let tuples = tuples.to_vec();
-        self.call(|head| Command::Batch { head, op, tuples }).and_then(into_receipt)
+    /// Submits one operation and blocks for its receipt.
+    fn apply(&mut self, op: JournalOp) -> Receipt {
+        self.call(|head| Command::Apply { head, op }).and_then(into_receipt)
     }
 
     /// Stamps a pulled receipt with its enqueue→pull latency (the
@@ -1317,14 +1288,13 @@ impl StreamSession {
     /// before the failing one stay applied (see
     /// [`StreamingCpd::prefill_all`]).
     pub fn prefill_batch(&mut self, tuples: &[StreamTuple]) -> Result<BatchReceipt, SnsError> {
-        self.batch(QuarantinedOp::Prefill, tuples)
+        self.apply(JournalOp::Prefill(tuples.to_vec()))
     }
 
     /// Runs batch ALS on the stream's current window from its current
     /// factors and installs the result. Blocks until done.
     pub fn warm_start(&mut self, opts: &AlsOptions) -> Result<BatchReceipt, SnsError> {
-        let opts = opts.clone();
-        self.call(|head| Command::WarmStart { head, opts }).and_then(into_receipt)
+        self.apply(JournalOp::WarmStart(opts.clone()))
     }
 
     /// Ingests a batch of live tuples, blocking for its
@@ -1332,7 +1302,7 @@ impl StreamSession {
     /// saturated). On error the receipt is a typed [`SnsError`] carrying
     /// the accepted prefix (see [`StreamingCpd::ingest_all`]).
     pub fn ingest_batch(&mut self, tuples: &[StreamTuple]) -> Result<BatchReceipt, SnsError> {
-        self.batch(QuarantinedOp::Ingest, tuples)
+        self.apply(JournalOp::Ingest(tuples.to_vec()))
     }
 
     /// Submits a batch without blocking. Returns its ticket on success;
@@ -1342,8 +1312,8 @@ impl StreamSession {
     /// [`StreamSession::recv_receipt`] / [`StreamSession::try_recv_receipt`].
     pub fn try_ingest_batch(&mut self, tuples: &[StreamTuple]) -> Result<u64, SnsError> {
         let ticket = self.next_ticket;
-        let (op, tuples) = (QuarantinedOp::Ingest, tuples.to_vec());
-        let cmd = Command::Batch { head: self.head(ticket), op, tuples };
+        let cmd =
+            Command::Apply { head: self.head(ticket), op: JournalOp::Ingest(tuples.to_vec()) };
         match enqueued(&self.ops, self.shard, self.tx.try_send(cmd)) {
             Ok(()) => {
                 self.next_ticket += 1;
@@ -1407,7 +1377,7 @@ impl StreamSession {
     /// Advances the stream clock without an arrival; due boundary work
     /// still fires. The receipt's `updates` counts the events processed.
     pub fn advance_to(&mut self, t: u64) -> Result<BatchReceipt, SnsError> {
-        self.call(|head| Command::AdvanceTo { head, t }).and_then(into_receipt)
+        self.apply(JournalOp::AdvanceTo(t))
     }
 
     /// Blocks until the worker has drained every previously submitted
@@ -1465,7 +1435,12 @@ impl StreamSession {
         let mut replayed = 0usize;
         let mut first_err: Option<SnsError> = None;
         for i in 0..letters.len() {
-            match self.batch(letters[i].op, &letters[i].tuples) {
+            let tuples = letters[i].tuples.clone();
+            let op = match letters[i].op {
+                QuarantinedOp::Prefill => JournalOp::Prefill(tuples),
+                QuarantinedOp::Ingest => JournalOp::Ingest(tuples),
+            };
+            match self.apply(op) {
                 Ok(_) => {
                     replayed += 1;
                     self.metrics.replayed.fetch_add(1, Ordering::Relaxed);
@@ -1744,7 +1719,8 @@ mod tests {
         first.join(); // the crash
 
         let recovered_pool = make_pool();
-        let mut recovered = recovered_pool.recover_all(snapshots).unwrap();
+        let streams = snapshots.into_iter().map(|s| (s, Vec::new())).collect();
+        let mut recovered = recovered_pool.recover_all(streams).unwrap();
         for (session, &id) in recovered.iter_mut().zip(&ids) {
             assert_eq!(session.stream_id(), id);
             let _ = session.ingest_batch(&tuples_for(id)[60..]).unwrap();
@@ -1837,6 +1813,48 @@ mod tests {
         let receipt = opened.ingest_batch(&tuples_for(8)[..10]).unwrap();
         assert_eq!(receipt.accepted, 10);
         assert_eq!(opened.report().unwrap().error, None);
+    }
+
+    /// A tail is replayed, counted and journaled-in-order on the worker;
+    /// a tail that panics the engine fails the restore typed and, with
+    /// it, the whole `recover_all`.
+    #[test]
+    fn recover_all_replays_tails_and_fails_typed_on_a_panicking_one() {
+        let chaotic = spec().with_chaos(crate::chaos::ChaosConfig::default());
+        let pool = EnginePool::new(PoolConfig { shards: 2, base_seed: 5, ..Default::default() });
+        let mut live: Vec<StreamSession> =
+            [1u64, 2].iter().map(|&id| pool.open(id, chaotic.clone()).unwrap()).collect();
+        let mut snapshots = Vec::new();
+        for session in &mut live {
+            let _ = session.ingest_batch(&tuples_for(session.stream_id())[..20]).unwrap();
+            snapshots.push(session.snapshot().unwrap());
+        }
+        let tail = |id: u64| vec![JournalOp::Ingest(tuples_for(id)[20..40].to_vec())];
+        let mut poisoned = tail(2);
+        if let JournalOp::Ingest(tuples) = &mut poisoned[0] {
+            tuples[5].value = crate::chaos::POISON_VALUE;
+        }
+
+        let fresh = EnginePool::new(PoolConfig { shards: 2, base_seed: 5, ..Default::default() });
+        let streams = vec![(snapshots[0].clone(), tail(1)), (snapshots[1].clone(), poisoned)];
+        match fresh.recover_all(streams) {
+            Err(SnsError::EngineBuildFailed { stream_id: 2, .. }) => {}
+            other => panic!("expected EngineBuildFailed, got {:?}", other.map(|s| s.len())),
+        }
+        assert!(fresh.checkpoint_all().is_empty(), "a failed recovery left live slots");
+
+        let metrics = fresh.ops().metrics().stream(1);
+        let counted = |m: &StreamMetrics| {
+            (m.batches.load(Ordering::Relaxed), m.tuples.load(Ordering::Relaxed))
+        };
+        let before = counted(&metrics);
+        let mut recovered = fresh.recover_all(vec![(snapshots[0].clone(), tail(1))]).unwrap();
+        let _ = live[0].ingest_batch(&tuples_for(1)[20..40]).unwrap();
+        let (want, got) = (live[0].report().unwrap(), recovered[0].report().unwrap());
+        assert_eq!(got.fitness.to_bits(), want.fitness.to_bits());
+        assert_eq!(got.updates_applied, want.updates_applied);
+        let after = counted(&metrics);
+        assert_eq!((after.0 - before.0, after.1 - before.1), (1, 20), "replayed batch counted");
     }
 
     #[test]

@@ -384,15 +384,6 @@ impl SparseTensor {
         self.norm_sq().sqrt()
     }
 
-    /// Recomputes the squared norm from scratch (drift control for long
-    /// streams); returns the absolute correction applied.
-    pub fn recompute_norm(&mut self) -> f64 {
-        let fresh: f64 = self.entries.values().iter().map(|v| v * v).sum();
-        let drift = (fresh - self.norm_sq).abs();
-        self.norm_sq = fresh;
-        drift
-    }
-
     /// Indices along `mode` that currently have at least one non-zero.
     pub fn used_indices(&self, mode: usize) -> impl Iterator<Item = u32> + '_ {
         self.fibers[mode].keys().copied()
@@ -611,8 +602,6 @@ mod tests {
         let fresh: f64 = t.iter().map(|(_, v)| v * v).sum();
         assert!((stored - fresh).abs() < 1e-9);
         assert!(t.check_invariants().is_ok());
-        let drift = t.recompute_norm();
-        assert!(drift < 1e-9);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! - a pooled fleet of every family killed mid-trace, recovered from
 //!   disk (checkpoint only, or checkpoint + WAL tail) and finished ends
 //!   byte-identical to a fleet that never crashed;
-//! - recovery is all-or-nothing, and its pipelined WAL replay stays
-//!   byte-identical under backpressure.
+//! - recovery is all-or-nothing, its WAL replay stays byte-identical
+//!   on queues two commands deep, and a recovery re-journals the tail
+//!   it replays.
 
 use proptest::prelude::*;
 use slicenstitch::codec::daemon::{CheckpointPolicy, Checkpointer};
@@ -513,7 +514,7 @@ fn recover_all_closes_every_session_on_a_corrupt_snapshot() {
     let mut events = pool.ops().subscribe();
     let mut bad = snapshots.clone();
     corrupt(&mut bad[1]);
-    match pool.recover_all(bad) {
+    match pool.recover_all(bad.into_iter().map(|s| (s, Vec::new())).collect()) {
         Err(SnsError::Codec { fault: CodecFault::Invalid, .. }) => {}
         other => panic!("expected Codec(Invalid), got {:?}", other.map(|s| s.len())),
     }
@@ -536,7 +537,8 @@ fn recover_all_closes_every_session_on_a_corrupt_snapshot() {
     assert_eq!(closed, vec![ids[0], ids[2]], "the good streams must be closed");
 
     let good = vec![snapshots[0].clone(), snapshots[2].clone()];
-    let mut recovered = pool.recover_all(good).unwrap();
+    let mut recovered =
+        pool.recover_all(good.into_iter().map(|s| (s, Vec::new())).collect()).unwrap();
     for (session, want) in recovered.iter_mut().zip([&expected[0], &expected[2]]) {
         assert!(to_bytes(&session.snapshot().unwrap()) == *want, "stream {}", session.stream_id());
     }
@@ -602,5 +604,64 @@ fn pipelined_wal_replay_under_backpressure_is_bitwise() {
     }
     drop(sessions);
     recovered.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Recovery journals the tail it replays: a fleet recovered onto a pool
+/// whose journal is a *fresh* WAL, crashed again, and recovered from the
+/// same checkpoint plus that fresh WAL ends byte-identical to the
+/// uninterrupted run both times, replaying exactly the tail each time.
+#[test]
+fn recovery_into_a_fresh_journal_re_journals_the_replayed_tail() {
+    let tuples = stream(0x4e70, 400);
+    let cut = tuples.partition_point(|t| t.time <= W as u64 * T);
+    let pool_with = |wal: &Arc<WalSet>| fleet_pool(Some(wal.clone() as Arc<dyn BatchJournal>));
+    let drive = |session: &mut StreamSession| {
+        let _ = session.prefill_batch(&tuples[..cut]).unwrap();
+        let _ = session.warm_start(&AlsOptions { max_iters: 8, ..Default::default() }).unwrap();
+        for batch in tuples[cut..].chunks(16) {
+            let _ = session.ingest_batch(batch).unwrap();
+        }
+        let _ = session.advance_to(tuples[tuples.len() - 1].time + T).unwrap();
+    };
+    let dir = fresh_dir("rejournal");
+    let wal_at = |name: &str| Arc::new(WalSet::create(dir.join(name)).unwrap());
+    let reference = pool_with(&wal_at("wal-reference"));
+    let mut sessions: Vec<_> =
+        trio().into_iter().map(|(id, spec)| reference.open(id, spec).unwrap()).collect();
+    sessions.iter_mut().for_each(drive);
+    let expected = fleet_bytes(&mut sessions);
+    drop(sessions);
+    reference.join();
+
+    // The doomed run checkpoints right after the open, so everything it
+    // drives is tail: every tuple, the warm start and the advance.
+    let store = CheckpointStore::create(dir.join("store")).unwrap();
+    let first_wal = wal_at("wal-first");
+    let doomed = pool_with(&first_wal);
+    let mut sessions: Vec<_> =
+        trio().into_iter().map(|(id, spec)| doomed.open(id, spec).unwrap()).collect();
+    checkpoint_pool(&doomed, &store).unwrap();
+    sessions.iter_mut().for_each(drive);
+    drop(sessions);
+    drop(doomed);
+    let tail_units = 3 * (tuples.len() as u64 + 2);
+
+    // Each recovery journals into `journal`; the second reads the WAL
+    // the first one wrote.
+    let fresh_wal = wal_at("wal-fresh");
+    for (source, journal) in [(&first_wal, &fresh_wal), (&fresh_wal, &fresh_wal)] {
+        let recovered = pool_with(journal);
+        let (mut sessions, replayed) = recover_pool_wal(&recovered, &store, source).unwrap();
+        assert_eq!(replayed, tail_units, "exactly the tail is replayed");
+        assert!(journal.error().is_none(), "{:?}", journal.error());
+        let actual = fleet_bytes(&mut sessions);
+        assert_eq!(actual.len(), 3);
+        for ((id, got), (_, want)) in actual.iter().zip(&expected) {
+            assert!(got == want, "stream {id} diverged from the uninterrupted run");
+        }
+        drop(sessions);
+        drop(recovered); // the crash
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

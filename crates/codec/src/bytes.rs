@@ -12,12 +12,26 @@ use sns_error::{CodecFault, SnsError};
 /// envelope). Not cryptographic — it guards against truncation, bit rot,
 /// and partial writes, which is what a checkpoint store needs.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a hash over more bytes:
+/// `fnv1a_extend(fnv1a(a), b) == fnv1a(a ++ b)`.
+fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// One pass over a checksummed file: the FNV-1a of its body (every byte
+/// before the 8-byte trailer, which is what a snapshot envelope embeds)
+/// and of the whole file (what a checkpoint manifest records).
+pub(crate) fn fnv1a_split(bytes: &[u8]) -> (u64, u64) {
+    let split = bytes.len().saturating_sub(8);
+    let body = fnv1a(&bytes[..split]);
+    (body, fnv1a_extend(body, &bytes[split..]))
 }
 
 /// Append-only little-endian writer.
@@ -290,6 +304,25 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert!(r.len(8, "vec").is_err());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn continuing_the_prefix_hash_over_the_trailer_is_the_whole_hash(
+            bytes in proptest::collection::vec(0u8..=255, 0..64),
+            cut in 0usize..64,
+        ) {
+            let cut = cut.min(bytes.len());
+            proptest::prop_assert_eq!(
+                fnv1a_extend(fnv1a(&bytes[..cut]), &bytes[cut..]),
+                fnv1a(&bytes)
+            );
+            let split = bytes.len().saturating_sub(8);
+            let (body, whole) = fnv1a_split(&bytes);
+            proptest::prop_assert_eq!(body, fnv1a(&bytes[..split]));
+            proptest::prop_assert_eq!(fnv1a_extend(body, &bytes[split..]), fnv1a(&bytes));
+            proptest::prop_assert_eq!(whole, fnv1a(&bytes));
+        }
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub mod store;
 pub mod wal;
 pub mod wire;
 
-use bytes::{fnv1a, Reader, Writer};
+use bytes::{fnv1a, fnv1a_split, Reader, Writer};
 use sns_error::{CodecFault, SnsError};
 use sns_runtime::EngineSnapshot;
 
@@ -133,7 +133,8 @@ pub fn to_bytes(snapshot: &EngineSnapshot) -> Vec<u8> {
 /// [`SnsError::Codec`] if `base_bytes` is not a decodable full
 /// snapshot.
 pub fn to_bytes_delta(snapshot: &EngineSnapshot, base_bytes: &[u8]) -> Result<Vec<u8>, SnsError> {
-    let base = Envelope::parse(base_bytes)?;
+    let (base_body, base_crc) = fnv1a_split(base_bytes);
+    let base = Envelope::parse(base_bytes, Some(base_body))?;
     let base_state = base.require_full_state("delta base")?;
     let mut sw = Writer::new();
     wire::put_engine_state(&mut sw, &snapshot.state);
@@ -150,7 +151,7 @@ pub fn to_bytes_delta(snapshot: &EngineSnapshot, base_bytes: &[u8]) -> Result<Ve
     });
     put_section(&mut w, SECTION_SPEC, |w| wire::put_spec(w, &snapshot.spec));
     put_section(&mut w, SECTION_DELTA, |w| {
-        w.u64(fnv1a(base_bytes));
+        w.u64(base_crc);
         w.u64(target.len() as u64);
         w.u64(fnv1a(&target));
         delta::put_ops(w, &ops);
@@ -162,6 +163,11 @@ pub fn to_bytes_delta(snapshot: &EngineSnapshot, base_bytes: &[u8]) -> Result<Ve
 
 /// A validated envelope: magic, version, section framing, and trailing
 /// checksum already verified; payloads not yet parsed.
+///
+/// `parse` takes the FNV-1a of the body (every byte before the 8-byte
+/// trailer) when the caller already hashed it in the same pass as the
+/// whole file (see `bytes::fnv1a_split`), and hashes the body itself
+/// otherwise, so no byte is hashed twice.
 struct Envelope<'a> {
     version: u16,
     spans: Vec<(u8, usize, usize)>,
@@ -169,7 +175,7 @@ struct Envelope<'a> {
 }
 
 impl<'a> Envelope<'a> {
-    fn parse(bytes: &'a [u8]) -> Result<Self, SnsError> {
+    fn parse(bytes: &'a [u8], body_hash: Option<u64>) -> Result<Self, SnsError> {
         let mut r = Reader::new(bytes);
         let magic = r.bytes(4, "magic")?;
         if magic != MAGIC {
@@ -204,7 +210,9 @@ impl<'a> Envelope<'a> {
         let body_end = r.pos();
         let stored = r.u64("checksum")?;
         r.expect_end("snapshot")?;
-        let computed = fnv1a(&bytes[..body_end]);
+        // Framing ends 8 bytes before the end, so `body_hash` (if given)
+        // covers exactly `bytes[..body_end]`.
+        let computed = body_hash.unwrap_or_else(|| fnv1a(&bytes[..body_end]));
         if stored != computed {
             return Err(SnsError::Codec {
                 fault: CodecFault::Checksum,
@@ -283,21 +291,7 @@ fn state_from_payload(payload: &[u8]) -> Result<sns_runtime::EngineState, SnsErr
 /// describe an inconsistent structure — including a **delta** snapshot,
 /// which needs its base: use [`from_bytes_with_base`]).
 pub fn from_bytes(bytes: &[u8]) -> Result<EngineSnapshot, SnsError> {
-    let env = Envelope::parse(bytes)?;
-    let (stream_id, seed, wal_seq) = env.meta()?;
-    let spec = env.spec()?;
-    if env.payload(SECTION_DELTA).is_some() {
-        return Err(SnsError::Codec {
-            fault: CodecFault::Invalid,
-            offset: 0,
-            detail: format!(
-                "stream {stream_id} snapshot is a delta; decode it with \
-                 from_bytes_with_base against its base snapshot"
-            ),
-        });
-    }
-    let state = state_from_payload(env.require_full_state("snapshot")?)?;
-    Ok(EngineSnapshot { stream_id, spec, seed, wal_seq, state })
+    decode(bytes, None, None)
 }
 
 /// Deserializes a snapshot next to its base: full snapshots decode as
@@ -311,12 +305,44 @@ pub fn from_bytes(bytes: &[u8]) -> Result<EngineSnapshot, SnsError> {
 /// non-full base and `Checksum` if the reconstructed state does not
 /// match the length/checksum the delta recorded.
 pub fn from_bytes_with_base(bytes: &[u8], base_bytes: &[u8]) -> Result<EngineSnapshot, SnsError> {
-    let env = Envelope::parse(bytes)?;
-    if env.payload(SECTION_DELTA).is_none() {
-        return from_bytes(bytes);
-    }
+    decode(bytes, None, Some(base_bytes))
+}
+
+/// The one snapshot decoder behind [`from_bytes`],
+/// [`from_bytes_with_base`] and the checkpoint store's loads: `body_hash`
+/// is the FNV-1a of `bytes` before the trailer if the caller already has
+/// it, and `base` the base file a delta needs (`None` refuses a delta).
+pub(crate) fn decode(
+    bytes: &[u8],
+    body_hash: Option<u64>,
+    base: Option<&[u8]>,
+) -> Result<EngineSnapshot, SnsError> {
+    let env = Envelope::parse(bytes, body_hash)?;
     let (stream_id, seed, wal_seq) = env.meta()?;
     let spec = env.spec()?;
+    let state = match (env.payload(SECTION_DELTA).is_some(), base) {
+        (false, _) => state_from_payload(env.require_full_state("snapshot")?)?,
+        (true, None) => {
+            return Err(SnsError::Codec {
+                fault: CodecFault::Invalid,
+                offset: 0,
+                detail: format!(
+                    "stream {stream_id} snapshot is a delta; decode it with \
+                     from_bytes_with_base against its base snapshot"
+                ),
+            })
+        }
+        (true, Some(base_bytes)) => state_from_delta(&env, stream_id, base_bytes)?,
+    };
+    Ok(EngineSnapshot { stream_id, spec, seed, wal_seq, state })
+}
+
+/// Rebuilds a delta envelope's STATE over its base file's.
+fn state_from_delta(
+    env: &Envelope<'_>,
+    stream_id: u64,
+    base_bytes: &[u8],
+) -> Result<sns_runtime::EngineState, SnsError> {
     let mut d = env.section(SECTION_DELTA, "DELTA")?;
     let base_crc = d.u64("delta base crc")?;
     // Plain u64, not a `len()` guard: this is the *reconstructed*
@@ -326,7 +352,7 @@ pub fn from_bytes_with_base(bytes: &[u8], base_bytes: &[u8]) -> Result<EngineSna
     let state_crc = d.u64("delta state crc")?;
     let ops = delta::get_ops(&mut d)?;
     d.expect_end("DELTA")?;
-    let actual_base_crc = fnv1a(base_bytes);
+    let (base_body, actual_base_crc) = fnv1a_split(base_bytes);
     if actual_base_crc != base_crc {
         return Err(SnsError::Codec {
             fault: CodecFault::Invalid,
@@ -337,7 +363,7 @@ pub fn from_bytes_with_base(bytes: &[u8], base_bytes: &[u8]) -> Result<EngineSna
             ),
         });
     }
-    let base = Envelope::parse(base_bytes)?;
+    let base = Envelope::parse(base_bytes, Some(base_body))?;
     let base_state = base.require_full_state("delta base")?;
     let state_bytes = delta::apply(base_state, &ops, state_len)?;
     let crc = fnv1a(&state_bytes);
@@ -352,8 +378,7 @@ pub fn from_bytes_with_base(bytes: &[u8], base_bytes: &[u8]) -> Result<EngineSna
             ),
         });
     }
-    let state = state_from_payload(&state_bytes)?;
-    Ok(EngineSnapshot { stream_id, spec, seed, wal_seq, state })
+    state_from_payload(&state_bytes)
 }
 
 #[cfg(test)]

@@ -33,8 +33,8 @@
 //! file, which [`CheckpointStore::save_incremental`] keeps on disk for
 //! as long as any delta references it.
 
-use crate::bytes::fnv1a;
-use crate::{from_bytes, from_bytes_with_base, to_bytes, to_bytes_delta};
+use crate::bytes::{fnv1a, fnv1a_split};
+use crate::{decode, to_bytes, to_bytes_delta};
 use sns_error::{CodecFault, SnsError};
 use sns_runtime::{EnginePool, EngineSnapshot, StreamSession};
 use std::collections::BTreeMap;
@@ -52,10 +52,10 @@ fn io_err(path: &Path, e: impl std::fmt::Display) -> SnsError {
 /// How a manifest row's snapshot file is encoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotKind {
-    /// Self-contained snapshot (decodes with [`from_bytes`]).
+    /// Self-contained snapshot (decodes with [`from_bytes`](crate::from_bytes)).
     Full,
     /// Delta against the row's `base` file (decodes with
-    /// [`from_bytes_with_base`]).
+    /// [`from_bytes_with_base`](crate::from_bytes_with_base)).
     Delta,
 }
 
@@ -397,7 +397,12 @@ impl CheckpointStore {
         self.parse_manifest().map(|(generation, _)| generation)
     }
 
-    fn read_verified(&self, entry: &ManifestEntry) -> Result<Vec<u8>, SnsError> {
+    /// Loads one manifest row: reads the file, checks its size and
+    /// FNV-1a against the row, decodes it (a delta against its base file)
+    /// and checks that it holds the row's stream. One hash pass yields
+    /// both the whole-file crc the row records and the body hash the
+    /// envelope embeds, and the checks run in that order.
+    pub(crate) fn load_entry(&self, entry: &ManifestEntry) -> Result<EngineSnapshot, SnsError> {
         let path = self.dir.join(&entry.file);
         let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
         if bytes.len() as u64 != entry.bytes {
@@ -406,55 +411,48 @@ impl CheckpointStore {
                 format!("{} bytes on disk, manifest says {}", bytes.len(), entry.bytes),
             ));
         }
-        let crc = fnv1a(&bytes);
+        let (body, crc) = fnv1a_split(&bytes);
         if crc != entry.crc {
             return Err(io_err(
                 &path,
                 format!("crc {crc:016x} on disk, manifest says {:016x}", entry.crc),
             ));
         }
-        Ok(bytes)
+        let base = match (&entry.kind, &entry.base) {
+            (SnapshotKind::Full, _) => None,
+            (SnapshotKind::Delta, Some(base)) => {
+                let base_path = self.dir.join(base);
+                Some(fs::read(&base_path).map_err(|e| io_err(&base_path, e))?)
+            }
+            (SnapshotKind::Delta, None) => {
+                return Err(io_err(&path, "delta manifest row without a base file"));
+            }
+        };
+        let snapshot = decode(&bytes, Some(body), base.as_deref())?;
+        if snapshot.stream_id != entry.stream_id {
+            return Err(io_err(
+                &path,
+                format!(
+                    "file holds stream {}, manifest says {}",
+                    snapshot.stream_id, entry.stream_id
+                ),
+            ));
+        }
+        Ok(snapshot)
     }
 
     /// Loads every snapshot listed in the manifest — deltas are
     /// reconstructed against their base files — verifying each file's
     /// size and checksum before decoding, in manifest (stream id)
-    /// order.
+    /// order, on the calling thread. Recovery does not call it:
+    /// [`recover_pool`] loads each row on its stream's shard worker.
     ///
     /// # Errors
     /// [`SnsError::Io`] for missing/mismatched files,
     /// [`SnsError::Codec`] for undecodable snapshots or base
     /// mismatches.
     pub fn load(&self) -> Result<Vec<EngineSnapshot>, SnsError> {
-        let mut snapshots = Vec::new();
-        for entry in self.manifest()? {
-            let bytes = self.read_verified(&entry)?;
-            let snapshot = match (&entry.kind, &entry.base) {
-                (SnapshotKind::Full, _) => from_bytes(&bytes)?,
-                (SnapshotKind::Delta, Some(base)) => {
-                    let base_path = self.dir.join(base);
-                    let base_bytes = fs::read(&base_path).map_err(|e| io_err(&base_path, e))?;
-                    from_bytes_with_base(&bytes, &base_bytes)?
-                }
-                (SnapshotKind::Delta, None) => {
-                    return Err(io_err(
-                        &self.dir.join(&entry.file),
-                        "delta manifest row without a base file",
-                    ));
-                }
-            };
-            if snapshot.stream_id != entry.stream_id {
-                return Err(io_err(
-                    &self.dir.join(&entry.file),
-                    format!(
-                        "file holds stream {}, manifest says {}",
-                        snapshot.stream_id, entry.stream_id
-                    ),
-                ));
-            }
-            snapshots.push(snapshot);
-        }
-        Ok(snapshots)
+        self.manifest()?.iter().map(|entry| self.load_entry(entry)).collect()
     }
 }
 
@@ -478,18 +476,27 @@ pub fn checkpoint_pool(
 
 /// Pool-wide recovery: rebuild every checkpointed stream from `store`
 /// onto `pool`, returning the live sessions in stream-id order. Each
-/// restored engine continues **bitwise-identically** from its
-/// checkpoint. For checkpoint+WAL deployments use
+/// stream's shard worker reads, verifies and decodes its own snapshot
+/// file, so the shards load concurrently, and each restored engine
+/// continues **bitwise-identically** from its checkpoint. For
+/// checkpoint+WAL deployments use
 /// [`recover_pool_wal`](crate::wal::recover_pool_wal), which also
 /// replays the journal tail.
 ///
 /// # Errors
-/// Store/codec errors, or the first snapshot the pool cannot restore.
+/// Store/codec errors — the same ones [`CheckpointStore::load`] reports
+/// — or a snapshot the pool cannot restore: the first failure in
+/// manifest order. All-or-nothing: every session this call opened is
+/// closed on an error.
 pub fn recover_pool(
     pool: &EnginePool,
     store: &CheckpointStore,
 ) -> Result<Vec<StreamSession>, SnsError> {
-    pool.recover_all(store.load()?.into_iter().map(|s| (s, Vec::new())).collect())
+    let rows = store.manifest()?.into_iter().map(|entry| {
+        let store = store.clone();
+        (entry.stream_id, move || Ok((store.load_entry(&entry)?, Vec::new())))
+    });
+    pool.recover_all(rows)
 }
 
 #[cfg(test)]
@@ -569,6 +576,104 @@ mod tests {
         // Delete it: missing file is typed, not a shorter fleet.
         fs::remove_file(&file).unwrap();
         assert!(matches!(store.load(), Err(SnsError::Io { .. })));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The pre-hash-once load of one full row, kept as the oracle: the
+    /// whole file hashed against the manifest, then hashed again by the
+    /// envelope inside `from_bytes`.
+    fn two_pass_load(store: &CheckpointStore) -> Result<Vec<EngineSnapshot>, SnsError> {
+        let mut out = Vec::new();
+        for entry in store.manifest()? {
+            let path = store.dir().join(&entry.file);
+            let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
+            if bytes.len() as u64 != entry.bytes {
+                let detail =
+                    format!("{} bytes on disk, manifest says {}", bytes.len(), entry.bytes);
+                return Err(io_err(&path, detail));
+            }
+            let crc = fnv1a(&bytes);
+            if crc != entry.crc {
+                let detail = format!("crc {crc:016x} on disk, manifest says {:016x}", entry.crc);
+                return Err(io_err(&path, detail));
+            }
+            let snapshot = crate::from_bytes(&bytes)?;
+            if snapshot.stream_id != entry.stream_id {
+                let detail = format!(
+                    "file holds stream {}, manifest says {}",
+                    snapshot.stream_id, entry.stream_id
+                );
+                return Err(io_err(&path, detail));
+            }
+            out.push(snapshot);
+        }
+        Ok(out)
+    }
+
+    /// Hashing each file once is the same check as hashing it twice: a
+    /// byte flipped anywhere — header, each section frame, each payload,
+    /// the trailer — fails `load` with exactly the error the two-pass
+    /// reference reports, whether the manifest still holds the original
+    /// crc (the whole-file check fires) or was re-stamped over the
+    /// damaged file (the envelope's own checks fire).
+    #[test]
+    fn hash_once_load_fails_like_the_two_pass_reference_on_every_region() {
+        let dir = temp_dir("hashonce");
+        let store = CheckpointStore::create(&dir).unwrap();
+        let pool = EnginePool::new(PoolConfig { shards: 1, base_seed: 3, ..Default::default() });
+        let mut s = pool.open(5, spec()).unwrap();
+        let _ = s.ingest_batch(&tuples(5)[..40]).unwrap();
+        checkpoint_pool(&pool, &store).unwrap();
+        let file = dir.join("stream-5.snsc");
+        let good = fs::read(&file).unwrap();
+        let manifest = fs::read_to_string(store.manifest_path()).unwrap();
+
+        // Header bytes, then per section its tag, first and last length
+        // byte and first, middle and last payload byte, then the trailer.
+        let mut at = vec![0, 3, 4, 5, 6];
+        let mut frame = 7;
+        for _ in 0..3 {
+            let len = u64::from_le_bytes(good[frame + 1..frame + 9].try_into().unwrap()) as usize;
+            let payload = frame + 9;
+            at.extend([frame, frame + 1, frame + 8, payload, payload + len / 2]);
+            at.push(payload + len - 1);
+            frame = payload + len;
+        }
+        assert_eq!(frame, good.len() - 8, "three sections, then the trailer");
+        at.extend([frame, frame + 4, good.len() - 1]);
+
+        let name = |e: &SnsError| match e {
+            SnsError::Codec { fault, .. } => format!("Codec({fault:?})"),
+            SnsError::Io { .. } => "Io".to_string(),
+            other => format!("{other:?}"),
+        };
+        let mut seen = std::collections::BTreeSet::new();
+        for &i in &at {
+            for restamp in [false, true] {
+                let mut bad = good.clone();
+                bad[i] ^= 0x01;
+                fs::write(&file, &bad).unwrap();
+                let text = if restamp {
+                    let row = format!("bytes {} crc {:016x}", good.len(), fnv1a(&good));
+                    let stamped = format!("bytes {} crc {:016x}", bad.len(), fnv1a(&bad));
+                    assert!(manifest.contains(&row));
+                    manifest.replace(&row, &stamped)
+                } else {
+                    manifest.clone()
+                };
+                fs::write(store.manifest_path(), text).unwrap();
+                let (got, want) = (store.load(), two_pass_load(&store));
+                let (got, want) = (got.map(|v| v.len()), want.map(|v| v.len()));
+                assert_eq!(got, want, "byte {i} flipped, manifest re-stamped: {restamp}");
+                let err = got.expect_err("a flipped byte must not load");
+                seen.insert(name(&err));
+            }
+        }
+        // Both checks and every envelope fault class were reached.
+        let faults = ["BadMagic", "UnsupportedVersion", "Invalid", "Checksum"];
+        for fault in ["Io".to_string()].into_iter().chain(faults.map(|f| format!("Codec({f})"))) {
+            assert!(seen.contains(&fault), "{fault} never fired: {seen:?}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -60,6 +60,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Leading magic of every WAL segment.
@@ -365,6 +366,38 @@ fn list_segments(dir: &Path, stream_id: u64) -> Result<Vec<(u64, PathBuf)>, SnsE
     Ok(out)
 }
 
+/// [`WalSet::read_tail`] over the WAL directory `dir`. It needs no
+/// open [`WalSet`], so a recovery loader can run it on the stream's
+/// shard worker.
+pub(crate) fn read_tail(
+    dir: &Path,
+    stream_id: u64,
+    after_seq: u64,
+) -> Result<Vec<WalRecord>, SnsError> {
+    // Flush nothing: appends are unbuffered, the file is current.
+    let mut out: Vec<WalRecord> = Vec::new();
+    for (_, path) in list_segments(dir, stream_id)? {
+        let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
+        let parsed = read_segment(&bytes, Some(stream_id))?;
+        for record in parsed.records {
+            if record.seq <= after_seq {
+                continue;
+            }
+            match out.last() {
+                Some(last) if record.seq <= last.seq => {
+                    return Err(invalid(format!(
+                        "stream {stream_id} wal seq {} across segments after {} — \
+                         duplicated or reordered records",
+                        record.seq, last.seq
+                    )));
+                }
+                _ => out.push(record),
+            }
+        }
+    }
+    Ok(out)
+}
+
 /// A directory of per-stream WAL segments, usable directly as the
 /// pool's [`BatchJournal`]. Appends are per-stream serialized (streams
 /// never contend with each other — one stream's records come from one
@@ -441,28 +474,7 @@ impl WalSet {
     /// [`SnsError::Io`] on unreadable files; [`SnsError::Codec`] on
     /// structural corruption (torn tails are *not* errors).
     pub fn read_tail(&self, stream_id: u64, after_seq: u64) -> Result<Vec<WalRecord>, SnsError> {
-        // Flush nothing: appends are unbuffered, the file is current.
-        let mut out: Vec<WalRecord> = Vec::new();
-        for (_, path) in list_segments(&self.dir, stream_id)? {
-            let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
-            let parsed = read_segment(&bytes, Some(stream_id))?;
-            for record in parsed.records {
-                if record.seq <= after_seq {
-                    continue;
-                }
-                match out.last() {
-                    Some(last) if record.seq <= last.seq => {
-                        return Err(invalid(format!(
-                            "stream {stream_id} wal seq {} across segments after {} — \
-                             duplicated or reordered records",
-                            record.seq, last.seq
-                        )));
-                    }
-                    _ => out.push(record),
-                }
-            }
-        }
-        Ok(out)
+        read_tail(&self.dir, stream_id, after_seq)
     }
 
     /// Rotates a stream onto a fresh `gen` segment after a checkpoint
@@ -536,12 +548,13 @@ impl BatchJournal for WalSet {
 /// and the replay cost is bounded by the journal written since the last
 /// checkpoint.
 ///
-/// Every tail is read first, then every stream is restored at once
-/// ([`EnginePool::recover_all`]), so each shard replays its own streams
-/// concurrently with the others and recovery takes about as long as the
-/// slowest shard. Tuple-batch replay outcomes are not propagated: a
-/// journaled batch reproduces its original result, including a typed
-/// error that was already acknowledged in the first life.
+/// Every stream is restored at once ([`EnginePool::recover_all`]), and
+/// each stream's shard worker reads, verifies and decodes its snapshot
+/// file, reads its tail and replays it, so the shards recover
+/// concurrently and recovery takes about as long as the slowest shard.
+/// Tuple-batch replay outcomes are not propagated: a journaled batch
+/// reproduces its original result, including a typed error that was
+/// already acknowledged in the first life.
 ///
 /// The pool journals every replayed operation again. If `pool` is
 /// configured with the same [`WalSet`] as its journal (the normal
@@ -549,24 +562,28 @@ impl BatchJournal for WalSet {
 /// number; a fresh journal receives the tail anew.
 ///
 /// # Errors
-/// Store/codec/WAL read errors, or the first stream the pool cannot
-/// restore — a snapshot that does not rebuild, or a tail whose replay
-/// panics the engine. All-or-nothing: on a restore error, every session
-/// this call opened is closed.
+/// Store/codec/WAL read errors, or a stream the pool cannot restore — a
+/// snapshot that does not rebuild, or a tail whose replay panics the
+/// engine: the first failure in manifest order. All-or-nothing: on an
+/// error, every session this call opened is closed.
 pub fn recover_pool_wal(
     pool: &EnginePool,
     store: &CheckpointStore,
     wal: &WalSet,
 ) -> Result<(Vec<StreamSession>, u64), SnsError> {
-    let mut replayed = 0;
-    let mut streams = Vec::new();
-    for snapshot in store.load()? {
-        let tail = wal.read_tail(snapshot.stream_id, snapshot.wal_seq)?;
-        let ops: Vec<JournalOp> = tail.into_iter().map(|record| record.op).collect();
-        replayed += ops.iter().map(JournalOp::units).sum::<u64>();
-        streams.push((snapshot, ops));
-    }
-    Ok((pool.recover_all(streams)?, replayed))
+    let replayed = Arc::new(AtomicU64::new(0));
+    let rows = store.manifest()?.into_iter().map(|entry| {
+        let (store, dir, replayed) = (store.clone(), wal.dir.clone(), Arc::clone(&replayed));
+        (entry.stream_id, move || {
+            let snapshot = store.load_entry(&entry)?;
+            let tail = read_tail(&dir, snapshot.stream_id, snapshot.wal_seq)?;
+            let ops: Vec<JournalOp> = tail.into_iter().map(|record| record.op).collect();
+            replayed.fetch_add(ops.iter().map(JournalOp::units).sum(), Ordering::Relaxed);
+            Ok((snapshot, ops))
+        })
+    });
+    let sessions = pool.recover_all(rows)?;
+    Ok((sessions, replayed.load(Ordering::Relaxed)))
 }
 
 #[cfg(test)]

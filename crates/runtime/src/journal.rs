@@ -44,11 +44,11 @@
 //! ([`EngineSnapshot::wal_seq`](crate::EngineSnapshot)), so recovery is
 //! "restore snapshot, replay journal records with `seq >` the
 //! snapshot's": [`EnginePool::recover_all`](crate::EnginePool::recover_all)
-//! ships each stream's tail inside its restore, and the shard worker
-//! rebuilds the engine and replays the tail through the same function
-//! that rolls a panicked batch group back. Replayed operations are
-//! recorded again, so a sink must skip sequence numbers it already
-//! holds (the codec's WAL does).
+//! ships each stream's loader (snapshot and tail) inside its restore,
+//! and the shard worker loads both, rebuilds the engine and replays the
+//! tail through the same function that rolls a panicked batch group
+//! back. Replayed operations are recorded again, so a sink must skip
+//! sequence numbers it already holds (the codec's WAL does).
 //!
 //! [`PoolConfig::journal`]: crate::PoolConfig
 

@@ -11,15 +11,13 @@
 //! — the only way to talk to the stream:
 //!
 //! - commands for one stream execute **in submission order** on one
-//!   thread — no locks around engine state, no cross-thread movement of
-//!   live engines;
-//! - different streams proceed **concurrently** across workers;
+//!   thread — no locks around engine state; different streams proceed
+//!   **concurrently** across workers;
 //! - every shard's command queue is **bounded**
 //!   ([`PoolConfig::queue_depth`]): [`StreamSession::ingest_batch`]
-//!   blocks when the shard is saturated,
+//!   blocks when the shard is saturated, and
 //!   [`StreamSession::try_ingest_batch`] surfaces
-//!   [`SnsError::Backpressure`] instead — memory stays bounded either
-//!   way;
+//!   [`SnsError::Backpressure`] instead;
 //! - ingestion is **batched** and **acknowledged**: each batch yields a
 //!   [`BatchReceipt`] reporting tuples accepted and factor updates
 //!   applied, and failures are typed [`SnsError`]s carrying how far the
@@ -31,8 +29,8 @@
 //! - a live stream can **migrate**: [`StreamSession::snapshot`] captures
 //!   the complete engine state ([`EngineSnapshot`]) and
 //!   [`EnginePool::restore`] resumes it on any shard (or another pool),
-//!   bitwise-identically; [`EnginePool::recover_all`] also replays each
-//!   stream's journal tail on its worker;
+//!   bitwise-identically; [`EnginePool::recover_all`] loads each stream
+//!   and replays its journal tail on the stream's own worker;
 //! - failures stay **per-stream**: an engine error is returned on that
 //!   batch's receipt and recorded in the stream's [`StreamReport`]; an
 //!   engine that *panics* is quarantined while every other stream on the
@@ -54,6 +52,7 @@ use crate::snapshot::{EngineSnapshot, EngineState};
 use crate::spec::EngineSpec;
 use crate::streaming::{BatchOutcome, StreamingCpd};
 use sns_core::als::AlsOptions;
+use sns_error::CodecFault;
 use sns_ops::{EvictReason, PoolEvent, QuarantinedOp, StreamMetrics};
 use sns_stream::{SnsError, StreamTuple};
 use std::collections::{HashMap, VecDeque};
@@ -85,11 +84,10 @@ pub struct PoolConfig {
     /// What happens to a stream whose batch panics its engine — see
     /// [`QuarantinePolicy`].
     pub quarantine: QuarantinePolicy,
-    /// Write-ahead-log sink. When set, shard workers call
-    /// [`BatchJournal::record`] after every acknowledged state-changing
-    /// command and stamp snapshots with the stream's WAL sequence (see
-    /// [`crate::journal`]). `None` (the default) costs nothing on the
-    /// batch path.
+    /// Write-ahead-log sink: shard workers call [`BatchJournal::record`]
+    /// after every acknowledged state-changing command and stamp snapshots
+    /// with the stream's WAL sequence (see [`crate::journal`]). `None`
+    /// (the default) costs nothing.
     pub journal: Option<Arc<dyn BatchJournal>>,
 }
 
@@ -198,12 +196,11 @@ enum Command {
         spec: EngineSpec,
         replies: Sender<SessionReply>,
     },
-    /// Installs a snapshot, first replaying `tail` (the stream's journal
-    /// tail, possibly empty) on it — see [`rebuild`].
+    /// Installs the snapshot `load` yields, first replaying the journal
+    /// tail (possibly empty) it yields with it — see [`loaded`], [`rebuild`].
     Restore {
         head: Head,
-        snapshot: Box<EngineSnapshot>,
-        tail: Vec<JournalOp>,
+        load: Loader,
         replies: Sender<SessionReply>,
     },
     /// One stream operation: a tuple batch (coalesced, see
@@ -215,24 +212,18 @@ enum Command {
     Report(Head),
     Snapshot(Head),
     Close(Head),
-    /// Lifts a stream's quarantine (and clears its sticky error) so
-    /// repaired dead-letter batches can be re-driven. Sent by
-    /// [`StreamSession::replay_quarantined`] *before* the replayed
-    /// batches; FIFO ordering makes the release visible first. A dark
-    /// slot (no engine) has nothing to resume and answers with its
-    /// sticky error instead.
+    /// Lifts a stream's quarantine and clears its sticky error; sent by
+    /// [`StreamSession::replay_quarantined`] *before* the re-driven
+    /// batches (FIFO). A dark slot (no engine) answers with its sticky
+    /// error instead.
     Release(Head),
-    /// Pool-wide checkpoint: snapshot every live slot on this shard
-    /// (after draining all previously enqueued commands) and reply on a
-    /// dedicated channel. Per-stream consistency follows from command
-    /// ordering; sessions stay open and unaffected.
+    /// Pool-wide checkpoint: snapshot every live slot on this shard (after
+    /// the commands enqueued before it) and reply on a dedicated channel.
     CheckpointShard(Sender<CheckpointResults>),
-    /// Unconditional slot removal (any token): open/restore send this to
-    /// the shard that previously owned the stream id (per the pool's
-    /// ownership map) so the id lives on at most one shard. Ordering is
-    /// guaranteed by the per-stream ownership lock: an `Evict` is always
-    /// enqueued after the install command that made its target shard the
-    /// owner, so it can never remove a newer slot.
+    /// Unconditional slot removal (any token), sent by open/restore to the
+    /// id's previous owner shard so the id lives on at most one shard. The
+    /// per-stream ownership lock enqueues it after the install that made
+    /// that shard the owner, so it never removes a newer slot.
     Evict(u64),
     Shutdown,
 }
@@ -273,9 +264,28 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "unknown panic payload".to_string())
 }
 
-/// An engine constructor (or snapshot rebuild) that panicked on a worker.
-fn build_failed(stream_id: u64, payload: Box<dyn std::any::Any + Send>) -> SnsError {
-    SnsError::EngineBuildFailed { stream_id, message: panic_message(payload) }
+/// Runs an engine constructor, a snapshot loader or a rebuild: a panic
+/// becomes [`SnsError::EngineBuildFailed`] instead of killing the worker.
+fn guarded<T>(stream_id: u64, f: impl FnOnce() -> Result<T, SnsError>) -> Result<T, SnsError> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Err(SnsError::EngineBuildFailed { stream_id, message: panic_message(payload) })
+    })
+}
+
+/// What a `Restore` installs: a stream's snapshot and journal tail,
+/// loaded on the stream's worker so every shard decodes at once.
+type Loader = Box<dyn FnOnce() -> Loaded + Send>;
+type Loaded = Result<(EngineSnapshot, Vec<JournalOp>), SnsError>;
+
+/// Runs a `Restore`'s loader under [`guarded`] and checks that it
+/// yielded the stream it was sent for.
+fn loaded(stream_id: u64, load: Loader) -> Loaded {
+    let (snapshot, tail) = guarded(stream_id, load)?;
+    if snapshot.stream_id != stream_id {
+        let detail = format!("restore of stream {stream_id} loaded stream {}", snapshot.stream_id);
+        return Err(SnsError::Codec { fault: CodecFault::Invalid, offset: 0, detail });
+    }
+    Ok((snapshot, tail))
 }
 
 /// Applies one operation to an engine: the only place the pool turns a
@@ -318,7 +328,7 @@ fn rebuild<'a>(
     state: EngineState,
     ops: impl IntoIterator<Item = &'a JournalOp>,
 ) -> Result<(Box<dyn StreamingCpd>, Vec<Applied>), SnsError> {
-    let rebuilt = catch_unwind(AssertUnwindSafe(|| {
+    guarded(stream_id, || {
         let mut engine = state.into_engine()?;
         let mut outcomes = Vec::new();
         for op in ops {
@@ -326,8 +336,7 @@ fn rebuild<'a>(
             outcomes.push((outcome, engine.anomalies().map(|a| a.flagged)));
         }
         Ok((engine, outcomes))
-    }));
-    rebuilt.unwrap_or_else(|payload| Err(build_failed(stream_id, payload)))
+    })
 }
 
 struct StreamSlot {
@@ -338,9 +347,8 @@ struct StreamSlot {
     token: u64,
     spec: EngineSpec,
     seed: u64,
-    /// `None` when the engine failed to build, or when a panic could not
-    /// be rolled back (no pre-batch capture —
-    /// [`QuarantinePolicy::Disabled`] or an engine without snapshot
+    /// `None` when the engine failed to build or a panic could not be
+    /// rolled back ([`QuarantinePolicy::Disabled`], or no snapshot
     /// support); the slot is then *dark* and keeps reporting the error.
     engine: Option<Box<dyn StreamingCpd>>,
     error: Option<SnsError>,
@@ -350,10 +358,8 @@ struct StreamSlot {
     /// High-water mark of the engine's flagged-anomaly counter, for
     /// edge-triggered [`PoolEvent::AnomalyFlagged`] events.
     last_flagged: u64,
-    /// Cumulative WAL sequence (journaled units — see
-    /// [`crate::journal`]). Advances only on pools with a configured
-    /// journal, so journal-less pools snapshot `wal_seq == 0`
-    /// everywhere.
+    /// Cumulative WAL sequence (journaled units — see [`crate::journal`]);
+    /// journal-less pools snapshot `wal_seq == 0` everywhere.
     wal_seq: u64,
     metrics: Arc<StreamMetrics>,
     replies: Sender<SessionReply>,
@@ -390,11 +396,10 @@ impl StreamSlot {
         }
     }
 
-    /// Runs an engine command with panic isolation: an engine that
-    /// returns `Err` records the (first) error and passes it through; an
-    /// engine that *panics* is quarantined (dropped) and the panic
-    /// recorded — the worker thread, its other streams, and the calling
-    /// session all survive.
+    /// Runs an engine command with panic isolation: an `Err` is recorded
+    /// (the first) and passed through; a *panic* drops (quarantines) the
+    /// engine and is recorded — the worker, its other streams and the
+    /// calling session all survive.
     fn guard<T>(
         &mut self,
         f: impl FnOnce(&mut dyn StreamingCpd) -> Result<T, SnsError>,
@@ -518,28 +523,44 @@ impl Worker {
         }
     }
 
-    /// Applies a coalesced group of tuple batches ("segments") for one
-    /// stream — the pool's only batch path. A lone batch is a group of
-    /// one, and a group may mix prefill and ingest segments.
-    ///
-    /// Observable behavior is identical to applying each segment alone
-    /// in submission order: segments run one after another through the
+    /// Loads, rebuilds and replays a `Restore`d stream. Replayed outcomes
+    /// are counted and journaled but not acknowledged (a typed error
+    /// reproduces the one the first run acknowledged).
+    fn restore(
+        &self,
+        head: Head,
+        load: Loader,
+        replies: &Sender<SessionReply>,
+    ) -> Result<StreamSlot, SnsError> {
+        let (EngineSnapshot { spec, seed, state, wal_seq, .. }, tail) = loaded(head.id, load)?;
+        let (engine, replayed) = rebuild(head.id, state, &tail)?;
+        let mut s = StreamSlot::new(self, head, spec, seed, Ok(engine), wal_seq, replies.clone());
+        for (op, applied) in tail.iter().zip(&replayed) {
+            if is_batch(op) {
+                self.tally(&mut s, applied);
+            }
+            self.record(&mut s, head.ticket, op);
+        }
+        Ok(s)
+    }
+
+    /// Applies a coalesced group of tuple batches ("segments", prefill or
+    /// ingest) for one stream — the pool's only batch path; a lone batch
+    /// is a group of one. Segments run one after another through the
     /// engine's own `prefill_all`/`ingest_all`, so the per-tuple update
     /// order — and the RNG draw order the `_RND` families depend on — is
     /// untouched and results stay **bitwise** equal to per-batch (and
     /// serial) execution. Each segment is acknowledged and journaled as
-    /// soon as it completes. What grouping amortizes is the slot lookup
-    /// and the rollback capture: one per group.
+    /// soon as it completes; grouping amortizes the slot lookup and the
+    /// rollback capture, one per group.
     ///
     /// Segments the slot cannot apply (quarantined or dark) go to
     /// [`Worker::reject`]. A panic at segment `k` [`rebuild`]s the engine
     /// from the group's pre-state and the `k` completed segments (the
     /// state per-batch execution leaves), quarantines the stream, and
-    /// diverts segment `k` to the DLQ; the remainder is then refused like
-    /// any batch arriving after the panic.
-    ///
-    /// Applied segments keep their buffers in `group` (a rollback may
-    /// re-apply them); the caller drops them.
+    /// diverts segment `k` to the DLQ; the remainder is refused like any
+    /// batch arriving after the panic. Applied segments keep their
+    /// buffers in `group` (a rollback may re-apply them).
     fn apply_group(&self, s: &mut StreamSlot, group: &mut [(Head, JournalOp)]) {
         let mut pre = match (&s.engine, self.policy) {
             (Some(engine), QuarantinePolicy::Rollback) if !s.quarantined => engine.snapshot().ok(),
@@ -723,8 +744,7 @@ fn worker_loop(w: Worker, rx: Receiver<Command>) {
         match cmd {
             Command::Open { head, seed, spec, replies } => {
                 let effective = spec.effective_seed(seed);
-                let built = catch_unwind(AssertUnwindSafe(|| spec.build(seed)))
-                    .map_err(|payload| build_failed(head.id, payload));
+                let built = guarded(head.id, || Ok(spec.build(seed)));
                 let slot = StreamSlot::new(&w, head, spec, effective, built, 0, replies);
                 let opened = slot.engine.as_ref().map(|_| PoolEvent::StreamOpened {
                     stream_id: head.id,
@@ -733,33 +753,17 @@ fn worker_loop(w: Worker, rx: Receiver<Command>) {
                 });
                 w.install(&mut slots, head, slot, opened);
             }
-            Command::Restore { head, snapshot, tail, replies } => {
-                let EngineSnapshot { spec, seed, state, wal_seq, .. } = *snapshot;
-                match rebuild(head.id, state, &tail) {
-                    Ok((engine, replayed)) => {
-                        let mut s =
-                            StreamSlot::new(&w, head, spec, seed, Ok(engine), wal_seq, replies);
-                        // Replayed outcomes are counted and journaled like
-                        // live ones but not acknowledged: a typed error
-                        // reproduces the one the first run acknowledged.
-                        for (op, applied) in tail.iter().zip(&replayed) {
-                            if is_batch(op) {
-                                w.tally(&mut s, applied);
-                            }
-                            w.record(&mut s, head.ticket, op);
-                        }
-                        let migrated =
-                            PoolEvent::StreamMigrated { stream_id: head.id, shard: w.shard };
-                        w.install(&mut slots, head, s, Some(migrated));
-                    }
-                    // An inconsistent snapshot, or a tail that panics,
-                    // installs nothing; the caller sees the typed error.
-                    Err(e) => {
-                        let _ =
-                            replies.send(SessionReply { head, body: ReplyBody::Receipt(Err(e)) });
-                    }
+            Command::Restore { head, load, replies } => match w.restore(head, load, &replies) {
+                Ok(s) => {
+                    let migrated = PoolEvent::StreamMigrated { stream_id: head.id, shard: w.shard };
+                    w.install(&mut slots, head, s, Some(migrated));
                 }
-            }
+                // A load that fails, an inconsistent snapshot, or a tail
+                // that panics installs nothing; the caller sees the error.
+                Err(e) => {
+                    drop(replies.send(SessionReply { head, body: ReplyBody::Receipt(Err(e)) }))
+                }
+            },
             Command::Apply { head, op } if !is_batch(&op) => {
                 if let Some(s) = live(&mut slots, head) {
                     w.control(s, head, &op);
@@ -850,12 +854,11 @@ pub struct EnginePool {
     queue_depth: usize,
     next_token: AtomicU64,
     ops: PoolOps,
-    /// Which shard currently owns each stream id, if any. The outer lock
-    /// only guards map shape (get-or-insert of a cell) and is never held
-    /// across a channel send; the per-stream cell serializes
-    /// claim + evict + install for one id (see [`EnginePool::enqueue_session`]).
-    /// Entries are kept after close — a stale entry is only a hint and an
-    /// `Evict` to a shard without the slot is a no-op.
+    /// Which shard owns each stream id, if any. The outer lock guards map
+    /// shape only and is never held across a send; the per-stream cell
+    /// serializes claim + evict + install (see [`EnginePool::enqueue_session`]).
+    /// Entries outlive a close: an `Evict` to a shard without the slot is
+    /// a no-op.
     owners: Mutex<HashMap<u64, Arc<Mutex<Option<usize>>>>>,
 }
 
@@ -929,11 +932,8 @@ impl EnginePool {
     pub fn open(&self, stream_id: u64, spec: EngineSpec) -> Result<StreamSession, SnsError> {
         let shard = self.shard_of(stream_id);
         let seed = stream_seed(self.base_seed, stream_id);
-        self.enqueue_session(stream_id, shard, |head, replies| Command::Open {
-            head,
-            seed,
-            spec,
-            replies,
+        self.enqueue_session(stream_id, shard, |head, replies, _| {
+            Ok(Command::Open { head, seed, spec, replies })
         })
         .and_then(Self::installed)
     }
@@ -954,59 +954,62 @@ impl EnginePool {
         if shard >= self.senders.len() {
             return Err(SnsError::ShardOutOfRange { shard, shards: self.senders.len() });
         }
-        self.enqueue_restore(shard, (snapshot, Vec::new())).and_then(Self::installed)
+        let id = snapshot.stream_id;
+        self.enqueue_restore(id, shard, Box::new(move || Ok((snapshot, Vec::new()))))
+            .and_then(Self::installed)
     }
 
-    /// [`EnginePool::enqueue_session`] for a `Restore` of a snapshot and
-    /// its journal tail.
+    /// [`EnginePool::enqueue_session`] for a `Restore`. The `Evict` of a
+    /// moving restore would destroy the engine on the old shard before the
+    /// new one could refuse an invalid snapshot, so that one is loaded and
+    /// checked here by a throwaway rebuild; elsewhere the worker does it.
     fn enqueue_restore(
         &self,
+        stream_id: u64,
         shard: usize,
-        (snapshot, tail): (EngineSnapshot, Vec<JournalOp>),
+        load: Loader,
     ) -> Result<StreamSession, SnsError> {
-        self.enqueue_session(snapshot.stream_id, shard, |head, replies| Command::Restore {
-            head,
-            snapshot: Box::new(snapshot),
-            tail,
-            replies,
+        self.enqueue_session(stream_id, shard, |head, replies, moving| {
+            let load = if moving {
+                let (snapshot, tail) = loaded(stream_id, load)?;
+                snapshot.state.clone().into_engine()?;
+                Box::new(move || Ok((snapshot, tail)))
+            } else {
+                load
+            };
+            Ok(Command::Restore { head, load, replies })
         })
     }
 
     /// The first half of opening a session: claims `stream_id` for
     /// `shard`, evicts it from its previous owner, and enqueues the
-    /// install command `make` builds. The session's first reply is the
-    /// install's ack, which [`EnginePool::installed`] awaits.
+    /// install command `make` builds (told whether the id moves; an error
+    /// claims nothing). The session's first reply is the install's ack,
+    /// which [`EnginePool::installed`] awaits.
     fn enqueue_session(
         &self,
         stream_id: u64,
         shard: usize,
-        make: impl FnOnce(Head, Sender<SessionReply>) -> Command,
+        make: impl FnOnce(Head, Sender<SessionReply>, bool) -> Result<Command, SnsError>,
     ) -> Result<StreamSession, SnsError> {
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
         let (reply_tx, reply_rx) = channel();
-        let install =
-            make(Head { id: stream_id, token, ticket: 0, at: sns_ops::clock::now() }, reply_tx);
-        // A stream id lives on at most one shard: only its owning shard
-        // (per the ownership map; a `restore` may have moved the id off
-        // its hash shard), if any and if different, receives an `Evict`,
-        // so a saturated *unrelated* shard cannot stall this open. The
-        // per-stream cell is held from the claim until the install is
-        // enqueued, so concurrent `open`/`restore` of one id serialize:
-        // the last claimant's install is the last command any shard gets
-        // for the id (channels are FIFO), hence exactly one slot survives.
+        let head = Head { id: stream_id, token, ticket: 0, at: sns_ops::clock::now() };
+        // A stream id lives on at most one shard: only its owning shard (a
+        // `restore` may have moved the id off its hash shard), if other,
+        // gets an `Evict`, so a saturated *unrelated* shard cannot stall
+        // this open. The per-stream cell is held from the claim until the
+        // install is enqueued, so concurrent `open`/`restore` of one id
+        // serialize: the last claimant's install is the last command any
+        // shard gets for the id (FIFO), hence exactly one slot survives.
         let cell = {
             let mut owners = self.owners.lock().expect("ownership map poisoned");
             Arc::clone(owners.entry(stream_id).or_default())
         };
         let mut owner = cell.lock().expect("ownership cell poisoned");
-        if let Some(prev) = owner.filter(|&p| p != shard) {
-            // The `Evict` would destroy the engine on `prev` before this
-            // shard's worker could refuse an invalid snapshot, so a moving
-            // restore is validated here by a throwaway rebuild. Elsewhere
-            // the worker validates, and a refusal installs nothing.
-            if let Command::Restore { snapshot, .. } = &install {
-                snapshot.state.clone().into_engine()?;
-            }
+        let prev = owner.filter(|&p| p != shard);
+        let install = make(head, reply_tx, prev.is_some())?;
+        if let Some(prev) = prev {
             self.send(prev, Command::Evict(stream_id));
         }
         *owner = Some(shard);
@@ -1100,27 +1103,28 @@ impl EnginePool {
         (all, complete)
     }
 
-    /// Rebuilds every snapshotted stream on this pool, each on its
-    /// stream id's home shard, and returns the live sessions in snapshot
-    /// order — the recovery half of [`EnginePool::checkpoint_all`]. Each
-    /// snapshot comes with its journal tail (possibly empty), which the
-    /// stream's worker replays and journals again before it acknowledges
-    /// the restore, so restored streams continue bitwise-identically.
-    /// Every restore is enqueued before any ack is awaited, so the shards
-    /// rebuild their streams concurrently.
+    /// Rebuilds every listed stream on its home shard and returns the live
+    /// sessions in list order — the recovery half of
+    /// [`EnginePool::checkpoint_all`]. The stream's worker runs its loader,
+    /// then replays and journals again the journal tail (possibly empty)
+    /// loaded with the snapshot before it acknowledges the restore, so
+    /// restored streams continue bitwise-identically. Every restore is
+    /// enqueued before any ack is awaited: the shards load and rebuild
+    /// their streams concurrently.
     ///
     /// # Errors
-    /// All-or-nothing: if a snapshot does not rebuild or its tail panics
-    /// the engine, every session this call opened is closed and the first
-    /// failure, in snapshot order, is returned. A live session the call
-    /// replaced stays gone: recover onto a fresh pool.
+    /// All-or-nothing: if a loader fails, panics or yields another stream,
+    /// a snapshot does not rebuild, or a tail panics the engine, every
+    /// session this call opened is closed and the first failure, in list
+    /// order, is returned. A live session the call replaced stays gone:
+    /// recover onto a fresh pool.
     pub fn recover_all(
         &self,
-        streams: Vec<(EngineSnapshot, Vec<JournalOp>)>,
+        streams: impl IntoIterator<Item = (u64, impl FnOnce() -> Loaded + Send + 'static)>,
     ) -> Result<Vec<StreamSession>, SnsError> {
         let pending: Vec<_> = streams
             .into_iter()
-            .map(|stream| self.enqueue_restore(self.shard_of(stream.0.stream_id), stream))
+            .map(|(id, load)| self.enqueue_restore(id, self.shard_of(id), Box::new(load)))
             .collect();
         let installed: Vec<_> = pending.into_iter().map(|s| s.and_then(Self::installed)).collect();
         if let Some(e) = installed.iter().find_map(|r| r.as_ref().err().cloned()) {
@@ -1719,7 +1723,7 @@ mod tests {
         first.join(); // the crash
 
         let recovered_pool = make_pool();
-        let streams = snapshots.into_iter().map(|s| (s, Vec::new())).collect();
+        let streams = snapshots.into_iter().map(|s| (s.stream_id, move || Ok((s, Vec::new()))));
         let mut recovered = recovered_pool.recover_all(streams).unwrap();
         for (session, &id) in recovered.iter_mut().zip(&ids) {
             assert_eq!(session.stream_id(), id);
@@ -1836,7 +1840,11 @@ mod tests {
         }
 
         let fresh = EnginePool::new(PoolConfig { shards: 2, base_seed: 5, ..Default::default() });
-        let streams = vec![(snapshots[0].clone(), tail(1)), (snapshots[1].clone(), poisoned)];
+        let load = |snapshot: &EngineSnapshot, tail: Vec<JournalOp>| -> (u64, Loader) {
+            let snapshot = snapshot.clone();
+            (snapshot.stream_id, Box::new(move || Ok((snapshot, tail))))
+        };
+        let streams = vec![load(&snapshots[0], tail(1)), load(&snapshots[1], poisoned)];
         match fresh.recover_all(streams) {
             Err(SnsError::EngineBuildFailed { stream_id: 2, .. }) => {}
             other => panic!("expected EngineBuildFailed, got {:?}", other.map(|s| s.len())),
@@ -1848,13 +1856,41 @@ mod tests {
             (m.batches.load(Ordering::Relaxed), m.tuples.load(Ordering::Relaxed))
         };
         let before = counted(&metrics);
-        let mut recovered = fresh.recover_all(vec![(snapshots[0].clone(), tail(1))]).unwrap();
+        let mut recovered = fresh.recover_all(vec![load(&snapshots[0], tail(1))]).unwrap();
         let _ = live[0].ingest_batch(&tuples_for(1)[20..40]).unwrap();
         let (want, got) = (live[0].report().unwrap(), recovered[0].report().unwrap());
         assert_eq!(got.fitness.to_bits(), want.fitness.to_bits());
         assert_eq!(got.updates_applied, want.updates_applied);
         let after = counted(&metrics);
         assert_eq!((after.0 - before.0, after.1 - before.1), (1, 20), "replayed batch counted");
+    }
+
+    /// A loader runs on the stream's worker under the build guard: one
+    /// that panics fails typed instead of killing the worker, and one
+    /// that yields another stream is refused; neither installs a slot.
+    #[test]
+    fn recover_all_refuses_a_panicking_or_foreign_loader() {
+        let pool = EnginePool::new(PoolConfig { shards: 2, base_seed: 6, ..Default::default() });
+        let mut session = pool.open(1, spec()).unwrap();
+        let _ = session.ingest_batch(&tuples_for(1)[..20]).unwrap();
+        let snapshot = session.snapshot().unwrap();
+        session.close();
+        let load = |snapshot: &EngineSnapshot| -> Loader {
+            let snapshot = snapshot.clone();
+            Box::new(move || Ok((snapshot, Vec::new())))
+        };
+        let panicking: Loader = Box::new(|| panic!("decoder bug"));
+        match pool.recover_all(vec![(1, panicking)]) {
+            Err(SnsError::EngineBuildFailed { stream_id: 1, message }) => {
+                assert!(message.contains("decoder bug"), "{message}");
+            }
+            other => panic!("expected EngineBuildFailed, got {:?}", other.map(|s| s.len())),
+        }
+        assert!(is_invalid(pool.recover_all(vec![(2, load(&snapshot))]).map(|mut s| s.remove(0))));
+        assert!(pool.checkpoint_all().is_empty(), "a refused loader installed a slot");
+        let mut recovered = pool.recover_all(vec![(1, load(&snapshot))]).unwrap();
+        let receipt = recovered[0].ingest_batch(&tuples_for(1)[20..30]).unwrap();
+        assert_eq!(receipt.accepted, 10, "the worker survived the panicking loader");
     }
 
     #[test]

@@ -14,11 +14,12 @@
 //! - a pooled fleet of every family killed mid-trace, recovered from
 //!   disk (checkpoint only, or checkpoint + WAL tail) and finished ends
 //!   byte-identical to a fleet that never crashed;
-//! - recovery is all-or-nothing, its WAL replay stays byte-identical
-//!   on queues two commands deep, and a recovery re-journals the tail
-//!   it replays.
+//! - recovery is all-or-nothing, on a corrupt snapshot and on a bad
+//!   snapshot file alike; a WAL tail of every record kind replays
+//!   byte-identically; and a recovery re-journals the tail it replays.
 
 use proptest::prelude::*;
+use slicenstitch::codec::bytes::fnv1a;
 use slicenstitch::codec::daemon::{CheckpointPolicy, Checkpointer};
 use slicenstitch::codec::store::{checkpoint_pool, recover_pool, CheckpointStore};
 use slicenstitch::codec::wal::{recover_pool_wal, WalSet};
@@ -514,7 +515,7 @@ fn recover_all_closes_every_session_on_a_corrupt_snapshot() {
     let mut events = pool.ops().subscribe();
     let mut bad = snapshots.clone();
     corrupt(&mut bad[1]);
-    match pool.recover_all(bad.into_iter().map(|s| (s, Vec::new())).collect()) {
+    match pool.recover_all(bad.into_iter().map(|s| (s.stream_id, move || Ok((s, Vec::new()))))) {
         Err(SnsError::Codec { fault: CodecFault::Invalid, .. }) => {}
         other => panic!("expected Codec(Invalid), got {:?}", other.map(|s| s.len())),
     }
@@ -537,18 +538,129 @@ fn recover_all_closes_every_session_on_a_corrupt_snapshot() {
     assert_eq!(closed, vec![ids[0], ids[2]], "the good streams must be closed");
 
     let good = vec![snapshots[0].clone(), snapshots[2].clone()];
-    let mut recovered =
-        pool.recover_all(good.into_iter().map(|s| (s, Vec::new())).collect()).unwrap();
+    let mut recovered = pool
+        .recover_all(good.into_iter().map(|s| (s.stream_id, move || Ok((s, Vec::new())))))
+        .unwrap();
     for (session, want) in recovered.iter_mut().zip([&expected[0], &expected[2]]) {
         assert!(to_bytes(&session.snapshot().unwrap()) == *want, "stream {}", session.stream_id());
     }
 }
 
-/// Every WAL record kind, replayed pipelined on queues two commands
-/// deep: recovery must end byte-identical to the uninterrupted run,
-/// replay exactly the journal, and leave no receipt uncollected.
+/// Recovery loads, verifies and decodes each snapshot file on its
+/// stream's shard worker, and a bad file still fails `recover_pool` typed
+/// and all-or-nothing: a flipped payload or trailer byte (caught by the
+/// manifest crc, or by the envelope checksum once the manifest row is
+/// re-stamped over the damage), another stream's file in its place, and
+/// a missing file each return the error the serial
+/// `CheckpointStore::load` reports, leave no live slot, and close every
+/// session the call opened. After the file is repaired, a retry on the
+/// same pool recovers the checkpointed fleet byte for byte and finishes
+/// byte-identical to a fleet that never crashed.
 #[test]
-fn pipelined_wal_replay_under_backpressure_is_bitwise() {
+fn a_bad_snapshot_file_fails_recovery_typed_and_all_or_nothing() {
+    let tuples = stream(0xf11e, 600);
+    let crash_at = tuples.len() / 2;
+    let reference = fleet_pool(None);
+    let expected = fleet_bytes(&mut open_fleet(&reference, &tuples, &full_plan()));
+    reference.join();
+
+    let dir = fresh_dir("badfile");
+    let store = CheckpointStore::create(dir.join("store")).unwrap();
+    let doomed = fleet_pool(None);
+    let first_half = ReplayPlan { advance_to: None, ..full_plan() };
+    let mut sessions = open_fleet(&doomed, &tuples[..crash_at], &first_half);
+    checkpoint_pool(&doomed, &store).unwrap();
+    let checkpointed = fleet_bytes(&mut sessions);
+    drop(sessions);
+    drop(doomed); // the crash
+
+    let file = |id: u64| store.dir().join(format!("stream-{id}.snsc"));
+    let victim = file(3);
+    let good = std::fs::read(&victim).unwrap();
+    let manifest = std::fs::read_to_string(store.manifest_path()).unwrap();
+    // The victim's manifest row re-stamped with `bytes`' size and crc, so
+    // only the envelope's own checks can catch the damage.
+    let stamped = |bytes: &[u8]| {
+        let row = format!("bytes {} crc {:016x}", good.len(), fnv1a(&good));
+        assert!(manifest.contains(&row), "victim row not found");
+        manifest.replace(&row, &format!("bytes {} crc {:016x}", bytes.len(), fnv1a(bytes)))
+    };
+    let flipped = |at: usize| {
+        let mut bad = good.clone();
+        bad[at] ^= 0x01;
+        bad
+    };
+    let (payload, trailer) = (flipped(good.len() / 2), flipped(good.len() - 1));
+    let foreign = std::fs::read(file(2)).unwrap();
+    let io = |e: &SnsError| matches!(e, SnsError::Io { .. });
+    let checksum = |e: &SnsError| matches!(e, SnsError::Codec { fault: CodecFault::Checksum, .. });
+    type Case<'a> = (&'a str, Option<&'a [u8]>, String, &'a dyn Fn(&SnsError) -> bool);
+    let cases: Vec<Case> = vec![
+        ("flipped payload byte", Some(&payload), manifest.clone(), &io),
+        ("flipped payload byte, row re-stamped", Some(&payload), stamped(&payload), &checksum),
+        ("flipped trailer byte", Some(&trailer), manifest.clone(), &io),
+        ("flipped trailer byte, row re-stamped", Some(&trailer), stamped(&trailer), &checksum),
+        ("another stream's file, row re-stamped", Some(&foreign), stamped(&foreign), &io),
+        ("missing file", None, manifest.clone(), &io),
+    ];
+    let mut retried = None;
+    for (case, bytes, text, want) in cases {
+        match bytes {
+            Some(bytes) => std::fs::write(&victim, bytes).unwrap(),
+            None => std::fs::remove_file(&victim).unwrap(),
+        }
+        std::fs::write(store.manifest_path(), text).unwrap();
+        let serial = store.load().map(|s| s.len()).unwrap_err();
+
+        let pool = fleet_pool(None);
+        let mut events = pool.ops().subscribe();
+        let err = recover_pool(&pool, &store).map(|s| s.len()).unwrap_err();
+        assert!(want(&err), "{case}: unexpected {err:?}");
+        assert_eq!(err, serial, "{case}: recovery must fail like the serial load");
+        // The checkpoint queues behind the closes on every shard.
+        assert!(pool.checkpoint_all().is_empty(), "{case}: a failed recovery left live slots");
+        let (mut opened, mut closed) = (Vec::new(), Vec::new());
+        for item in events.drain() {
+            let BusItem::Event(event) = item else { continue };
+            match *event {
+                PoolEvent::StreamMigrated { stream_id, .. } => opened.push(stream_id),
+                PoolEvent::StreamEvicted { stream_id, reason: EvictReason::Closed, .. } => {
+                    closed.push(stream_id)
+                }
+                _ => {}
+            }
+        }
+        opened.sort_unstable();
+        closed.sort_unstable();
+        assert!(!opened.contains(&3), "{case}: the bad stream was installed");
+        assert_eq!(closed, opened, "{case}: every session the call opened must be closed");
+
+        std::fs::write(&victim, &good).unwrap();
+        std::fs::write(store.manifest_path(), &manifest).unwrap();
+        let mut sessions = recover_pool(&pool, &store).unwrap();
+        assert!(fleet_bytes(&mut sessions) == checkpointed, "{case}: retry differs");
+        retried = Some((pool, sessions));
+    }
+
+    let (recovered, mut sessions) = retried.unwrap();
+    let tail_plan = ReplayPlan { prefill_until: None, warm_start: None, ..full_plan() };
+    drive_fleet(&mut sessions, &tuples[crash_at..], &tail_plan);
+    let actual = fleet_bytes(&mut sessions);
+    assert_eq!(actual.len(), fleet().len());
+    for ((id, got), (_, want)) in actual.iter().zip(&expected) {
+        assert!(got == want, "stream {id} diverged after the repaired retry");
+    }
+    drop(sessions);
+    recovered.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A WAL tail holding every record kind — prefill, warm start, ingest,
+/// clock advance — replays on the workers byte-identical to the
+/// uninterrupted run, replays exactly the journal, and leaves no receipt
+/// uncollected (on queues two commands deep).
+#[test]
+fn every_record_kind_of_a_wal_tail_replays_bitwise() {
     let tuples = stream(0x7a11, 600);
     let cut = tuples.partition_point(|t| t.time <= W as u64 * T);
     let mid = cut + (tuples.len() - cut) / 2;

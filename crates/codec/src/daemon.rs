@@ -12,8 +12,8 @@
 //! 1. captures that shard's streams via
 //!    [`EnginePool::checkpoint_shard`] (one shard at a time — the rest
 //!    of the pool keeps ingesting),
-//! 2. commits them with [`CheckpointStore::save_incremental`] (delta
-//!    checkpoints against each stream's standing base), and
+//! 2. commits them with [`CheckpointStore::save_incremental`] (one new
+//!    full file per stream; the other shards' rows carry over), and
 //! 3. rotates each stream's WAL segment via [`WalSet::rotate`],
 //!    pruning journal history the new checkpoint has made redundant.
 //!

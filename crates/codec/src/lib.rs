@@ -2,10 +2,9 @@
 //!
 //! Durable, portable engine state: a self-describing **versioned binary
 //! format** for [`EngineSnapshot`]s, a file-backed
-//! [`CheckpointStore`](store::CheckpointStore) with full **and delta**
-//! checkpoints, a per-stream [write-ahead log](wal) of accepted
-//! operations, and a [background checkpoint daemon](daemon) that ties
-//! the three together.
+//! [`CheckpointStore`](store::CheckpointStore) of full snapshots, a
+//! per-stream [write-ahead log](wal) of accepted operations, and a
+//! [background checkpoint daemon](daemon) that ties the three together.
 //!
 //! The model state of a continuously maintained CP decomposition *is*
 //! the product: losing it means re-prefilling `W·T` periods of stream
@@ -30,20 +29,17 @@
 //! 7       …     sections: tag u8 | length u64 | payload
 //!               tag 1 META  : stream_id u64 | seed u64 | wal_seq u64
 //!               tag 2 SPEC  : EngineSpec (see wire module)
-//!               tag 3 STATE : EngineState (see wire module), or
-//!               tag 4 DELTA : base_crc u64 | state_len u64 | state_crc u64
-//!                             | delta program rebuilding STATE from the
-//!                             base snapshot's STATE payload (see delta)
+//!               tag 3 STATE : EngineState (see wire module)
 //! end−8   8     FNV-1a 64 checksum of every preceding byte
 //! ```
 //!
-//! A snapshot carries exactly one of STATE (self-contained, "full") or
-//! DELTA ("delta", decodable only next to its base via
-//! [`from_bytes_with_base`]). Version 1 — identical except that META
-//! has no `wal_seq` and DELTA does not exist — is still read by
-//! [`from_bytes`] (`wal_seq` decodes as 0) but no longer written;
-//! re-encoding a decoded v1 snapshot upgrades it to v2. The normative
-//! byte-level specification lives in `docs/DURABILITY.md`.
+//! Every snapshot is self-contained. Tag 4 is reserved: older builds
+//! wrote delta snapshots with a tag-4 section in place of STATE, and
+//! this build refuses them (no STATE section) with a typed error.
+//! Version 1 — identical except that META has no `wal_seq` — is still
+//! read by [`from_bytes`] (`wal_seq` decodes as 0) but no longer
+//! written; re-encoding a decoded v1 snapshot upgrades it to v2. The
+//! normative byte-level specification lives in `docs/DURABILITY.md`.
 //!
 //! Section lengths let a reader skip or validate sections without
 //! understanding their contents; unknown *trailing* sections are
@@ -71,12 +67,11 @@
 
 pub mod bytes;
 pub mod daemon;
-pub mod delta;
 pub mod store;
 pub mod wal;
 pub mod wire;
 
-use bytes::{fnv1a, fnv1a_split, Reader, Writer};
+use bytes::{fnv1a, Reader, Writer};
 use sns_error::{CodecFault, SnsError};
 use sns_runtime::EngineSnapshot;
 
@@ -89,7 +84,6 @@ pub const SCHEMA_VERSION: u16 = 2;
 const SECTION_META: u8 = 1;
 const SECTION_SPEC: u8 = 2;
 const SECTION_STATE: u8 = 3;
-const SECTION_DELTA: u8 = 4;
 
 fn put_section(w: &mut Writer, tag: u8, body: impl FnOnce(&mut Writer)) {
     w.u8(tag);
@@ -117,48 +111,6 @@ pub fn to_bytes(snapshot: &EngineSnapshot) -> Vec<u8> {
     let checksum = fnv1a(w.as_slice());
     w.u64(checksum);
     w.into_bytes()
-}
-
-/// Serializes a snapshot as a **delta** against `base_bytes` (a
-/// previously encoded *full* snapshot of the same stream): the STATE
-/// payload is replaced by a copy/insert program over the base's. The
-/// result decodes only via [`from_bytes_with_base`] with the identical
-/// base bytes.
-///
-/// Always succeeds in producing *a* delta; whether it is smaller than
-/// [`to_bytes`] is for the caller to compare (see
-/// [`store::CheckpointStore::save_incremental`]).
-///
-/// # Errors
-/// [`SnsError::Codec`] if `base_bytes` is not a decodable full
-/// snapshot.
-pub fn to_bytes_delta(snapshot: &EngineSnapshot, base_bytes: &[u8]) -> Result<Vec<u8>, SnsError> {
-    let (base_body, base_crc) = fnv1a_split(base_bytes);
-    let base = Envelope::parse(base_bytes, Some(base_body))?;
-    let base_state = base.require_full_state("delta base")?;
-    let mut sw = Writer::new();
-    wire::put_engine_state(&mut sw, &snapshot.state);
-    let target = sw.into_bytes();
-    let ops = delta::encode(base_state, &target);
-    let mut w = Writer::new();
-    w.bytes(&MAGIC);
-    w.u16(SCHEMA_VERSION);
-    w.u8(3);
-    put_section(&mut w, SECTION_META, |w| {
-        w.u64(snapshot.stream_id);
-        w.u64(snapshot.seed);
-        w.u64(snapshot.wal_seq);
-    });
-    put_section(&mut w, SECTION_SPEC, |w| wire::put_spec(w, &snapshot.spec));
-    put_section(&mut w, SECTION_DELTA, |w| {
-        w.u64(base_crc);
-        w.u64(target.len() as u64);
-        w.u64(fnv1a(&target));
-        delta::put_ops(w, &ops);
-    });
-    let checksum = fnv1a(w.as_slice());
-    w.u64(checksum);
-    Ok(w.into_bytes())
 }
 
 /// A validated envelope: magic, version, section framing, and trailing
@@ -223,19 +175,18 @@ impl<'a> Envelope<'a> {
         Ok(Envelope { version, spans, bytes })
     }
 
-    fn payload(&self, want: u8) -> Option<&'a [u8]> {
+    /// A section's payload; typed `Invalid` if the envelope has none
+    /// (a legacy delta snapshot has no STATE section).
+    fn section(&self, want: u8, name: &str) -> Result<Reader<'a>, SnsError> {
         self.spans
             .iter()
             .find(|&&(tag, _, _)| tag == want)
-            .map(|&(_, start, len)| &self.bytes[start..start + len])
-    }
-
-    fn section(&self, want: u8, name: &str) -> Result<Reader<'a>, SnsError> {
-        self.payload(want).map(Reader::new).ok_or_else(|| SnsError::Codec {
-            fault: CodecFault::Invalid,
-            offset: 0,
-            detail: format!("missing {name} section"),
-        })
+            .map(|&(_, start, len)| Reader::new(&self.bytes[start..start + len]))
+            .ok_or_else(|| SnsError::Codec {
+                fault: CodecFault::Invalid,
+                offset: 0,
+                detail: format!("missing {name} section"),
+            })
     }
 
     /// META fields; `wal_seq` decodes as 0 from v1 envelopes.
@@ -255,130 +206,36 @@ impl<'a> Envelope<'a> {
         Ok(spec)
     }
 
-    /// The raw STATE payload of a *full* snapshot; typed `Invalid` if
-    /// this envelope is a delta (`what` names the role for the error).
-    fn require_full_state(&self, what: &str) -> Result<&'a [u8], SnsError> {
-        if self.payload(SECTION_DELTA).is_some() {
-            return Err(SnsError::Codec {
-                fault: CodecFault::Invalid,
-                offset: 0,
-                detail: format!("{what} must be a full snapshot, got a delta"),
-            });
-        }
-        self.payload(SECTION_STATE).ok_or_else(|| SnsError::Codec {
-            fault: CodecFault::Invalid,
-            offset: 0,
-            detail: format!("{what}: missing STATE section"),
-        })
+    fn state(&self) -> Result<sns_runtime::EngineState, SnsError> {
+        let mut state_r = self.section(SECTION_STATE, "STATE")?;
+        let state = wire::get_engine_state(&mut state_r)?;
+        state_r.expect_end("STATE")?;
+        Ok(state)
     }
 }
 
-fn state_from_payload(payload: &[u8]) -> Result<sns_runtime::EngineState, SnsError> {
-    let mut state_r = Reader::new(payload);
-    let state = wire::get_engine_state(&mut state_r)?;
-    state_r.expect_end("STATE")?;
-    Ok(state)
-}
-
-/// Deserializes a self-contained (v1 or v2 full) snapshot, validating
-/// magic, version, section framing, and checksum before touching any
-/// payload.
+/// Deserializes a (v1 or v2) snapshot, validating magic, version,
+/// section framing, and checksum before touching any payload.
 ///
 /// # Errors
 /// [`SnsError::Codec`] with a precise [`CodecFault`]:
 /// `Truncated` (bytes end early), `BadMagic`, `UnsupportedVersion`,
 /// `Checksum` (content corrupted), or `Invalid` (well-framed bytes that
-/// describe an inconsistent structure — including a **delta** snapshot,
-/// which needs its base: use [`from_bytes_with_base`]).
+/// describe an inconsistent structure — including a legacy delta
+/// snapshot, which has no STATE section).
 pub fn from_bytes(bytes: &[u8]) -> Result<EngineSnapshot, SnsError> {
-    decode(bytes, None, None)
+    decode(bytes, None)
 }
 
-/// Deserializes a snapshot next to its base: full snapshots decode as
-/// with [`from_bytes`] (the base is ignored); a **delta** snapshot is
-/// reconstructed by replaying its copy/insert program over the base's
-/// STATE payload. The base must be byte-identical to the one the delta
-/// was encoded against (checked by checksum) and itself full.
-///
-/// # Errors
-/// Everything [`from_bytes`] reports, plus `Invalid` for a wrong or
-/// non-full base and `Checksum` if the reconstructed state does not
-/// match the length/checksum the delta recorded.
-pub fn from_bytes_with_base(bytes: &[u8], base_bytes: &[u8]) -> Result<EngineSnapshot, SnsError> {
-    decode(bytes, None, Some(base_bytes))
-}
-
-/// The one snapshot decoder behind [`from_bytes`],
-/// [`from_bytes_with_base`] and the checkpoint store's loads: `body_hash`
-/// is the FNV-1a of `bytes` before the trailer if the caller already has
-/// it, and `base` the base file a delta needs (`None` refuses a delta).
-pub(crate) fn decode(
-    bytes: &[u8],
-    body_hash: Option<u64>,
-    base: Option<&[u8]>,
-) -> Result<EngineSnapshot, SnsError> {
+/// The one snapshot decoder behind [`from_bytes`] and the checkpoint
+/// store's loads: `body_hash` is the FNV-1a of `bytes` before the
+/// trailer if the caller already has it.
+pub(crate) fn decode(bytes: &[u8], body_hash: Option<u64>) -> Result<EngineSnapshot, SnsError> {
     let env = Envelope::parse(bytes, body_hash)?;
     let (stream_id, seed, wal_seq) = env.meta()?;
     let spec = env.spec()?;
-    let state = match (env.payload(SECTION_DELTA).is_some(), base) {
-        (false, _) => state_from_payload(env.require_full_state("snapshot")?)?,
-        (true, None) => {
-            return Err(SnsError::Codec {
-                fault: CodecFault::Invalid,
-                offset: 0,
-                detail: format!(
-                    "stream {stream_id} snapshot is a delta; decode it with \
-                     from_bytes_with_base against its base snapshot"
-                ),
-            })
-        }
-        (true, Some(base_bytes)) => state_from_delta(&env, stream_id, base_bytes)?,
-    };
+    let state = env.state()?;
     Ok(EngineSnapshot { stream_id, spec, seed, wal_seq, state })
-}
-
-/// Rebuilds a delta envelope's STATE over its base file's.
-fn state_from_delta(
-    env: &Envelope<'_>,
-    stream_id: u64,
-    base_bytes: &[u8],
-) -> Result<sns_runtime::EngineState, SnsError> {
-    let mut d = env.section(SECTION_DELTA, "DELTA")?;
-    let base_crc = d.u64("delta base crc")?;
-    // Plain u64, not a `len()` guard: this is the *reconstructed*
-    // state's size, legitimately larger than the delta payload.
-    // `delta::apply` caps its output at this value.
-    let state_len = d.u64("delta state length")? as usize;
-    let state_crc = d.u64("delta state crc")?;
-    let ops = delta::get_ops(&mut d)?;
-    d.expect_end("DELTA")?;
-    let (base_body, actual_base_crc) = fnv1a_split(base_bytes);
-    if actual_base_crc != base_crc {
-        return Err(SnsError::Codec {
-            fault: CodecFault::Invalid,
-            offset: 0,
-            detail: format!(
-                "stream {stream_id} delta was encoded against base {base_crc:#018x}, \
-                 given base is {actual_base_crc:#018x}"
-            ),
-        });
-    }
-    let base = Envelope::parse(base_bytes, Some(base_body))?;
-    let base_state = base.require_full_state("delta base")?;
-    let state_bytes = delta::apply(base_state, &ops, state_len)?;
-    let crc = fnv1a(&state_bytes);
-    if state_bytes.len() != state_len || crc != state_crc {
-        return Err(SnsError::Codec {
-            fault: CodecFault::Checksum,
-            offset: 0,
-            detail: format!(
-                "reconstructed state is {} bytes / crc {crc:#018x}, delta recorded \
-                 {state_len} bytes / {state_crc:#018x}",
-                state_bytes.len()
-            ),
-        });
-    }
-    state_from_payload(&state_bytes)
 }
 
 #[cfg(test)]
@@ -404,21 +261,6 @@ mod tests {
         }
     }
 
-    fn snapshot_at(ticks: u64) -> EngineSnapshot {
-        let config = SnsConfig { rank: 2, theta: 2, seed: 5, ..Default::default() };
-        let mut e = SnsEngine::new(&[4, 3], 3, 10, AlgorithmKind::PlusRnd, &config);
-        for t in 0..ticks {
-            e.ingest(StreamTuple::new([(t % 4) as u32, (t % 3) as u32], 1.0, t)).unwrap();
-        }
-        EngineSnapshot {
-            stream_id: 11,
-            spec: EngineSpec::sns(&[4, 3], 3, 10, AlgorithmKind::PlusRnd, &config),
-            seed: 0xabc,
-            wal_seq: ticks,
-            state: e.capture().unwrap(),
-        }
-    }
-
     #[test]
     fn round_trip_is_byte_identical() {
         let bytes = to_bytes(&snapshot());
@@ -436,33 +278,33 @@ mod tests {
         assert_eq!(decoded.wal_seq, 1234);
     }
 
+    /// A legacy delta snapshot — META, SPEC and a tag-4 section in place
+    /// of STATE, checksum intact — fails typed instead of decoding.
     #[test]
-    fn delta_round_trips_against_its_base_and_rejects_the_wrong_base() {
-        let base_snap = snapshot_at(60);
-        let base = to_bytes(&base_snap);
-        let next = snapshot_at(75);
-        let full = to_bytes(&next);
-        let d = to_bytes_delta(&next, &base).unwrap();
-        assert!(d.len() < full.len(), "60→75 ticks should share most state bytes");
-
-        let decoded = from_bytes_with_base(&d, &base).unwrap();
-        assert_eq!(decoded.wal_seq, 75);
-        assert_eq!(to_bytes(&decoded), full, "delta must reconstruct the exact full encoding");
-
-        // A full snapshot passes through with any base.
-        assert_eq!(to_bytes(&from_bytes_with_base(&full, &base).unwrap()), full);
-
-        // Typed failures: no base, wrong base, delta-as-base.
-        assert!(matches!(from_bytes(&d), Err(SnsError::Codec { fault: CodecFault::Invalid, .. })));
-        let wrong = to_bytes(&snapshot_at(61));
-        assert!(matches!(
-            from_bytes_with_base(&d, &wrong),
-            Err(SnsError::Codec { fault: CodecFault::Invalid, .. })
-        ));
-        assert!(matches!(
-            to_bytes_delta(&next, &d),
-            Err(SnsError::Codec { fault: CodecFault::Invalid, .. })
-        ));
+    fn a_legacy_delta_envelope_is_refused_typed() {
+        let good = to_bytes(&snapshot());
+        let mut w = Writer::new();
+        w.bytes(&good[..7]); // magic + version + section count
+        let mut r = Reader::new(&good[7..good.len() - 8]);
+        for _ in 0..2 {
+            let tag = r.u8("tag").unwrap();
+            let len = r.usize("len").unwrap();
+            let payload = r.bytes(len, "payload").unwrap();
+            w.u8(tag);
+            w.u64(len as u64);
+            w.bytes(payload);
+        }
+        w.u8(4); // the retired SECTION_DELTA tag
+        w.u64(24);
+        w.bytes(&[0; 24]);
+        let checksum = fnv1a(w.as_slice());
+        w.u64(checksum);
+        match from_bytes(&w.into_bytes()) {
+            Err(SnsError::Codec { fault: CodecFault::Invalid, detail, .. }) => {
+                assert!(detail.contains("STATE"), "{detail}");
+            }
+            other => panic!("expected Invalid, got {:?}", other.map(|_| ())),
+        }
     }
 
     #[test]

@@ -1,15 +1,12 @@
-//! File-backed checkpoint store: snapshot files per stream plus a
-//! manifest, with full **and delta** checkpoints and pool-wide
-//! checkpoint/recover helpers.
+//! File-backed checkpoint store: one full snapshot file per stream plus
+//! a manifest, and pool-wide checkpoint/recover helpers.
 //!
 //! ## Layout
 //!
 //! ```text
 //! <dir>/
 //!   MANIFEST.sns            - text manifest (see below)
-//!   stream-<id>.snsc        - full snapshot (legacy save())
 //!   stream-<id>.g<G>.snsc   - full snapshot committed at generation G
-//!   stream-<id>.g<G>.snsd   - delta snapshot committed at generation G
 //! ```
 //!
 //! The manifest is line-oriented text, written atomically **after** all
@@ -19,25 +16,29 @@
 //! sns-checkpoint v2
 //! checkpoint <generation>
 //! streams <count>
-//! stream <id> file <name> bytes <len> crc <fnv1a-hex> kind <full|delta> base <file|->
+//! stream <id> file <name> bytes <len> crc <fnv1a-hex> kind full base -
 //! ```
 //!
 //! v1 manifests (no `checkpoint` line, rows without `kind`/`base`) are
 //! still parsed — every row reads as a full snapshot at generation 0.
+//! Rows that older builds wrote as `kind delta` still parse, but loading
+//! one fails typed: this build reads no delta snapshots.
+//!
+//! [`CheckpointStore::save`] and [`CheckpointStore::save_incremental`]
+//! share one commit: each snapshot goes to a new file named for the new
+//! generation, the manifest rename commits them, and files no row
+//! references any more are pruned. No commit writes a file the manifest
+//! it replaces references, so a crash or failure anywhere before the
+//! manifest rename leaves the previous checkpoint loadable.
 //!
 //! Loading is manifest-driven: a missing or size/checksum-mismatched
-//! file is a typed error, never a silently shorter fleet. Snapshot files
-//! are written to a temporary name and renamed into place, so a crash
-//! mid-checkpoint leaves the previous manifest (and therefore the
-//! previous consistent checkpoint) intact. Delta rows name their `base`
-//! file, which [`CheckpointStore::save_incremental`] keeps on disk for
-//! as long as any delta references it.
+//! file is a typed error, never a silently shorter fleet.
 
 use crate::bytes::{fnv1a, fnv1a_split};
-use crate::{decode, to_bytes, to_bytes_delta};
+use crate::{decode, to_bytes};
 use sns_error::{CodecFault, SnsError};
 use sns_runtime::{EnginePool, EngineSnapshot, StreamSession};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -54,14 +55,12 @@ fn io_err(path: &Path, e: impl std::fmt::Display) -> SnsError {
 pub enum SnapshotKind {
     /// Self-contained snapshot (decodes with [`from_bytes`](crate::from_bytes)).
     Full,
-    /// Delta against the row's `base` file (decodes with
-    /// [`from_bytes_with_base`](crate::from_bytes_with_base)).
+    /// Delta snapshot written by an older build; loading it fails typed.
     Delta,
 }
 
 impl SnapshotKind {
-    /// Manifest token for the kind.
-    pub fn label(&self) -> &'static str {
+    fn label(&self) -> &'static str {
         match self {
             SnapshotKind::Full => "full",
             SnapshotKind::Delta => "delta",
@@ -80,11 +79,8 @@ pub struct ManifestEntry {
     pub bytes: u64,
     /// FNV-1a 64 of the file contents.
     pub crc: u64,
-    /// Whether the file is a full snapshot or a delta.
+    /// How the file is encoded: this build writes only full rows.
     pub kind: SnapshotKind,
-    /// For deltas: the full snapshot file the delta was encoded
-    /// against. `None` for full snapshots.
-    pub base: Option<String>,
 }
 
 /// A directory of per-stream snapshot files plus a manifest.
@@ -114,10 +110,6 @@ impl CheckpointStore {
         self.dir.join(MANIFEST)
     }
 
-    fn file_name(stream_id: u64) -> String {
-        format!("stream-{stream_id}.snsc")
-    }
-
     fn write_file_atomic(&self, file: &str, bytes: &[u8]) -> Result<(), SnsError> {
         let path = self.dir.join(file);
         let tmp = self.dir.join(format!("{file}.tmp"));
@@ -139,13 +131,12 @@ impl CheckpointStore {
         manifest.push_str(&format!("streams {}\n", entries.len()));
         for e in entries {
             manifest.push_str(&format!(
-                "stream {} file {} bytes {} crc {:016x} kind {} base {}\n",
+                "stream {} file {} bytes {} crc {:016x} kind {} base -\n",
                 e.stream_id,
                 e.file,
                 e.bytes,
                 e.crc,
                 e.kind.label(),
-                e.base.as_deref().unwrap_or("-"),
             ));
         }
         let tmp = self.dir.join(format!("{MANIFEST}.tmp"));
@@ -163,138 +154,74 @@ impl CheckpointStore {
         fs::File::open(&self.dir).and_then(|d| d.sync_all()).map_err(|e| io_err(&self.dir, e))
     }
 
-    /// Writes one **full** file per snapshot plus the manifest (last,
-    /// atomically via rename), replacing any previous checkpoint in
-    /// this directory. For checkpoint-over-checkpoint workloads prefer
-    /// [`CheckpointStore::save_incremental`], which keeps unchanged
-    /// streams and writes deltas.
+    /// Commits a checkpoint holding exactly `snapshots`, replacing the
+    /// previous one in this directory (its files are pruned once the new
+    /// manifest is in place).
     ///
     /// # Errors
-    /// [`SnsError::Io`] on the first filesystem failure.
+    /// [`SnsError::Io`] on the first filesystem failure or a malformed
+    /// previous manifest; the previous checkpoint stays loadable.
     pub fn save(&self, snapshots: &[EngineSnapshot]) -> Result<Vec<ManifestEntry>, SnsError> {
-        let generation = self.generation().unwrap_or(0) + 1;
-        let mut entries = Vec::with_capacity(snapshots.len());
-        for snapshot in snapshots {
-            let bytes = to_bytes(snapshot);
-            let file = Self::file_name(snapshot.stream_id);
-            self.write_file_atomic(&file, &bytes)?;
-            entries.push(ManifestEntry {
-                stream_id: snapshot.stream_id,
-                file,
-                bytes: bytes.len() as u64,
-                crc: fnv1a(&bytes),
-                kind: SnapshotKind::Full,
-                base: None,
-            });
-        }
-        entries.sort_by_key(|e| e.stream_id);
-        self.write_manifest(generation, &entries)?;
-        Ok(entries)
+        self.commit(snapshots, false).map(|(_, entries)| entries)
     }
 
     /// Commits a new checkpoint **generation** on top of the existing
     /// manifest: rows for streams in `snapshots` are replaced, rows for
     /// other streams are kept — which is what lets a background daemon
     /// checkpoint one shard at a time without forgetting the rest of
-    /// the fleet. Each snapshot is written as a **delta** against the
-    /// stream's current full base when that undercuts the full encoding
-    /// by 2×, and as a fresh full file otherwise. Snapshot files no
-    /// longer referenced by any row (as `file` or `base`) are pruned.
+    /// the fleet.
     ///
     /// Returns the committed generation and the merged manifest.
     ///
     /// # Errors
-    /// [`SnsError::Io`] on the first filesystem failure (the previous
-    /// manifest stays in place); [`SnsError::Codec`] if an existing
-    /// base file is unreadable.
+    /// As [`CheckpointStore::save`].
     pub fn save_incremental(
         &self,
         snapshots: &[EngineSnapshot],
     ) -> Result<(u64, Vec<ManifestEntry>), SnsError> {
-        let previous = if self.manifest_path().exists() { self.manifest()? } else { Vec::new() };
-        let generation = self.generation().unwrap_or(0) + 1;
-        let prev_by_stream: BTreeMap<u64, &ManifestEntry> =
-            previous.iter().map(|e| (e.stream_id, e)).collect();
-        let mut merged: BTreeMap<u64, ManifestEntry> =
-            previous.iter().map(|e| (e.stream_id, e.clone())).collect();
+        self.commit(snapshots, true)
+    }
+
+    /// The one commit path: writes each snapshot to a file named for
+    /// the next generation, renames the manifest over the old one (the
+    /// commit point), then prunes snapshot files no row references.
+    /// `merge` keeps the previous rows of streams not in `snapshots`.
+    fn commit(
+        &self,
+        snapshots: &[EngineSnapshot],
+        merge: bool,
+    ) -> Result<(u64, Vec<ManifestEntry>), SnsError> {
+        let (previous, rows) =
+            if self.manifest_path().exists() { self.parse_manifest()? } else { (0, Vec::new()) };
+        let generation = previous + 1;
+        let mut merged = BTreeMap::new();
+        if merge {
+            merged.extend(rows.into_iter().map(|e| (e.stream_id, e)));
+        }
         for snapshot in snapshots {
-            let full = to_bytes(snapshot);
-            // The stream's standing full base: the previous row itself
-            // when full, or the base its delta chain hangs off.
-            let base_file = match prev_by_stream.get(&snapshot.stream_id) {
-                None => None,
-                Some(prev) => match prev.kind {
-                    SnapshotKind::Full => Some(prev.file.clone()),
-                    // A delta row without a base is a corrupt manifest
-                    // (hand-edited or torn by a foreign writer), not a
-                    // code bug — report it, don't panic over it.
-                    SnapshotKind::Delta => match &prev.base {
-                        Some(base) => Some(base.clone()),
-                        None => {
-                            return Err(SnsError::Codec {
-                                fault: CodecFault::Invalid,
-                                offset: 0,
-                                detail: format!(
-                                    "manifest delta row for stream {} names no base",
-                                    snapshot.stream_id
-                                ),
-                            })
-                        }
-                    },
-                },
-            };
-            let delta = match &base_file {
-                Some(base) => {
-                    let base_path = self.dir.join(base);
-                    let base_bytes = fs::read(&base_path).map_err(|e| io_err(&base_path, e))?;
-                    let d = to_bytes_delta(snapshot, &base_bytes)?;
-                    (d.len() * 2 < full.len()).then_some(d)
-                }
-                None => None,
-            };
-            let entry = match delta {
-                Some(bytes) => {
-                    let file = format!("stream-{}.g{generation}.snsd", snapshot.stream_id);
-                    self.write_file_atomic(&file, &bytes)?;
-                    ManifestEntry {
-                        stream_id: snapshot.stream_id,
-                        file,
-                        bytes: bytes.len() as u64,
-                        crc: fnv1a(&bytes),
-                        kind: SnapshotKind::Delta,
-                        base: base_file,
-                    }
-                }
-                None => {
-                    let file = format!("stream-{}.g{generation}.snsc", snapshot.stream_id);
-                    self.write_file_atomic(&file, &full)?;
-                    ManifestEntry {
-                        stream_id: snapshot.stream_id,
-                        file,
-                        bytes: full.len() as u64,
-                        crc: fnv1a(&full),
-                        kind: SnapshotKind::Full,
-                        base: None,
-                    }
-                }
+            let bytes = to_bytes(snapshot);
+            let file = format!("stream-{}.g{generation}.snsc", snapshot.stream_id);
+            self.write_file_atomic(&file, &bytes)?;
+            let entry = ManifestEntry {
+                stream_id: snapshot.stream_id,
+                file,
+                bytes: bytes.len() as u64,
+                crc: fnv1a(&bytes),
+                kind: SnapshotKind::Full,
             };
             merged.insert(snapshot.stream_id, entry);
         }
-        let mut entries: Vec<ManifestEntry> = merged.into_values().collect();
-        entries.sort_by_key(|e| e.stream_id);
+        let entries: Vec<ManifestEntry> = merged.into_values().collect();
         self.write_manifest(generation, &entries)?;
         self.prune(&entries)?;
         Ok((generation, entries))
     }
 
-    /// Deletes snapshot files no new manifest row references (as `file`
-    /// or `base`). WAL segments and foreign files are untouched.
+    /// Deletes snapshot files no manifest row references, including
+    /// delta files older builds left behind. WAL segments and foreign
+    /// files are untouched.
     fn prune(&self, entries: &[ManifestEntry]) -> Result<(), SnsError> {
-        let live: std::collections::BTreeSet<&str> = entries
-            .iter()
-            .flat_map(|e| [Some(e.file.as_str()), e.base.as_deref()])
-            .flatten()
-            .collect();
+        let live: BTreeSet<&str> = entries.iter().map(|e| e.file.as_str()).collect();
         for dirent in fs::read_dir(&self.dir).map_err(|e| io_err(&self.dir, e))? {
             let dirent = dirent.map_err(|e| io_err(&self.dir, e))?;
             let name = dirent.file_name();
@@ -335,14 +262,15 @@ impl CheckpointStore {
         for line in lines {
             let parts: Vec<&str> = line.split_whitespace().collect();
             let malformed = || io_err(&path, format!("malformed manifest line: {line}"));
-            let (core, kind, base) = match (version, parts.as_slice()) {
+            let (core, kind) = match (version, parts.as_slice()) {
                 (1, [kw, id, fkw, file, bkw, bytes, ckw, crc]) => {
                     if (*kw, *fkw, *bkw, *ckw) != ("stream", "file", "bytes", "crc") {
                         return Err(malformed());
                     }
-                    ((*id, *file, *bytes, *crc), SnapshotKind::Full, None)
+                    ((*id, *file, *bytes, *crc), SnapshotKind::Full)
                 }
-                (2, [kw, id, fkw, file, bkw, bytes, ckw, crc, kkw, kind, bakw, base]) => {
+                // The `base` column only ever named a delta's base file.
+                (2, [kw, id, fkw, file, bkw, bytes, ckw, crc, kkw, kind, bakw, _]) => {
                     if (*kw, *fkw, *bkw, *ckw, *kkw, *bakw)
                         != ("stream", "file", "bytes", "crc", "kind", "base")
                     {
@@ -353,11 +281,7 @@ impl CheckpointStore {
                         "delta" => SnapshotKind::Delta,
                         _ => return Err(malformed()),
                     };
-                    let base = (*base != "-").then(|| (*base).to_string());
-                    if (kind == SnapshotKind::Delta) != base.is_some() {
-                        return Err(malformed());
-                    }
-                    ((*id, *file, *bytes, *crc), kind, base)
+                    ((*id, *file, *bytes, *crc), kind)
                 }
                 _ => return Err(malformed()),
             };
@@ -368,7 +292,6 @@ impl CheckpointStore {
                 bytes: bytes.parse().map_err(|e| io_err(&path, e))?,
                 crc: u64::from_str_radix(crc, 16).map_err(|e| io_err(&path, e))?,
                 kind,
-                base,
             });
         }
         if entries.len() != count {
@@ -388,21 +311,23 @@ impl CheckpointStore {
         self.parse_manifest().map(|(_, entries)| entries)
     }
 
-    /// The manifest's checkpoint generation (0 for legacy v1
-    /// manifests).
-    ///
-    /// # Errors
-    /// [`SnsError::Io`] if the manifest is missing or malformed.
-    pub fn generation(&self) -> Result<u64, SnsError> {
-        self.parse_manifest().map(|(generation, _)| generation)
-    }
-
     /// Loads one manifest row: reads the file, checks its size and
-    /// FNV-1a against the row, decodes it (a delta against its base file)
-    /// and checks that it holds the row's stream. One hash pass yields
-    /// both the whole-file crc the row records and the body hash the
-    /// envelope embeds, and the checks run in that order.
+    /// FNV-1a against the row, decodes it and checks that it holds the
+    /// row's stream. One hash pass yields both the whole-file crc the
+    /// row records and the body hash the envelope embeds, and the checks
+    /// run in that order. A legacy delta row fails typed before any read.
     pub(crate) fn load_entry(&self, entry: &ManifestEntry) -> Result<EngineSnapshot, SnsError> {
+        if entry.kind == SnapshotKind::Delta {
+            return Err(SnsError::Codec {
+                fault: CodecFault::Invalid,
+                offset: 0,
+                detail: format!(
+                    "manifest row for stream {} names delta snapshot {}, which this build \
+                     no longer reads",
+                    entry.stream_id, entry.file
+                ),
+            });
+        }
         let path = self.dir.join(&entry.file);
         let bytes = fs::read(&path).map_err(|e| io_err(&path, e))?;
         if bytes.len() as u64 != entry.bytes {
@@ -418,17 +343,7 @@ impl CheckpointStore {
                 format!("crc {crc:016x} on disk, manifest says {:016x}", entry.crc),
             ));
         }
-        let base = match (&entry.kind, &entry.base) {
-            (SnapshotKind::Full, _) => None,
-            (SnapshotKind::Delta, Some(base)) => {
-                let base_path = self.dir.join(base);
-                Some(fs::read(&base_path).map_err(|e| io_err(&base_path, e))?)
-            }
-            (SnapshotKind::Delta, None) => {
-                return Err(io_err(&path, "delta manifest row without a base file"));
-            }
-        };
-        let snapshot = decode(&bytes, Some(body), base.as_deref())?;
+        let snapshot = decode(&bytes, Some(body))?;
         if snapshot.stream_id != entry.stream_id {
             return Err(io_err(
                 &path,
@@ -441,16 +356,15 @@ impl CheckpointStore {
         Ok(snapshot)
     }
 
-    /// Loads every snapshot listed in the manifest — deltas are
-    /// reconstructed against their base files — verifying each file's
-    /// size and checksum before decoding, in manifest (stream id)
+    /// Loads every snapshot listed in the manifest, verifying each
+    /// file's size and checksum before decoding, in manifest (stream id)
     /// order, on the calling thread. Recovery does not call it:
     /// [`recover_pool`] loads each row on its stream's shard worker.
     ///
     /// # Errors
     /// [`SnsError::Io`] for missing/mismatched files,
-    /// [`SnsError::Codec`] for undecodable snapshots or base
-    /// mismatches.
+    /// [`SnsError::Codec`] for undecodable snapshots and legacy delta
+    /// rows.
     pub fn load(&self) -> Result<Vec<EngineSnapshot>, SnsError> {
         self.manifest()?.iter().map(|entry| self.load_entry(entry)).collect()
     }
@@ -523,6 +437,25 @@ mod tests {
             .collect()
     }
 
+    impl CheckpointStore {
+        /// The manifest's checkpoint generation (0 for legacy v1
+        /// manifests).
+        fn generation(&self) -> Result<u64, SnsError> {
+            self.parse_manifest().map(|(generation, _)| generation)
+        }
+    }
+
+    /// The `stream-*` snapshot files in `dir`, sorted.
+    fn snapshot_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|d| d.unwrap().file_name().into_string().unwrap())
+            .filter(|n| n.starts_with("stream-") && n.ends_with(".snsc"))
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
     fn checkpoint_then_recover_round_trips_a_pool() {
         let dir = temp_dir("roundtrip");
@@ -566,7 +499,7 @@ mod tests {
         checkpoint_pool(&pool, &store).unwrap();
 
         // Corrupt the snapshot file: the manifest crc catches it.
-        let file = dir.join("stream-5.snsc");
+        let file = dir.join(&store.manifest().unwrap()[0].file);
         let mut bytes = fs::read(&file).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
@@ -624,7 +557,7 @@ mod tests {
         let mut s = pool.open(5, spec()).unwrap();
         let _ = s.ingest_batch(&tuples(5)[..40]).unwrap();
         checkpoint_pool(&pool, &store).unwrap();
-        let file = dir.join("stream-5.snsc");
+        let file = dir.join(&store.manifest().unwrap()[0].file);
         let good = fs::read(&file).unwrap();
         let manifest = fs::read_to_string(store.manifest_path()).unwrap();
 
@@ -696,14 +629,13 @@ mod tests {
                 bytes: 10,
                 crc: 0xff,
                 kind: SnapshotKind::Full,
-                base: None,
             }]
         );
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn incremental_saves_write_deltas_merge_streams_and_prune() {
+    fn incremental_saves_merge_streams_and_prune() {
         let dir = temp_dir("incremental");
         let store = CheckpointStore::create(&dir).unwrap();
         let pool = EnginePool::new(PoolConfig { shards: 2, base_seed: 9, ..Default::default() });
@@ -712,48 +644,162 @@ mod tests {
         let _ = a.ingest_batch(&tuples(1)[..40]).unwrap();
         let _ = b.ingest_batch(&tuples(2)[..40]).unwrap();
 
-        // Gen 1: both streams, necessarily full (no bases yet).
+        // Gen 1: both streams.
         let snaps = |s: &mut sns_runtime::StreamSession| s.snapshot().unwrap();
         let (g1, m1) = store.save_incremental(&[snaps(&mut a), snaps(&mut b)]).unwrap();
         assert_eq!((g1, m1.len()), (1, 2));
         assert!(m1.iter().all(|e| e.kind == SnapshotKind::Full));
 
-        // Gen 2: stream 1 is re-committed barely changed (the idle-
-        // stream case background commits hit constantly) — its row
-        // becomes a delta against the gen-1 full file; stream 2's row
-        // is carried over untouched.
+        // Gen 2: stream 1 is re-committed to a new generation file;
+        // stream 2's row is carried over untouched.
         let (g2, m2) = store.save_incremental(&[snaps(&mut a)]).unwrap();
         assert_eq!((g2, m2.len()), (2, 2));
         let row1 = m2.iter().find(|e| e.stream_id == 1).unwrap();
         let row2 = m2.iter().find(|e| e.stream_id == 2).unwrap();
-        assert_eq!(row1.kind, SnapshotKind::Delta);
-        assert_eq!(row1.base.as_deref(), Some("stream-1.g1.snsc"));
-        assert!(row1.bytes * 2 < row2.bytes, "delta must be much smaller than a full snapshot");
-        assert_eq!(row2.kind, SnapshotKind::Full);
-        assert!(dir.join("stream-1.g1.snsc").exists(), "delta bases survive pruning");
+        assert_eq!(row1.file, "stream-1.g2.snsc");
+        assert_eq!(row2, m1.iter().find(|e| e.stream_id == 2).unwrap());
+        assert!(!dir.join("stream-1.g1.snsc").exists(), "superseded file pruned");
+        assert!(dir.join("stream-2.g1.snsc").exists(), "carried-over row's file kept");
 
-        // Gen 3: stream 1 again — the old delta file gets pruned, the
-        // base stays, and the loaded fleet matches the live one.
-        let (g3, _) = store.save_incremental(&[snaps(&mut a)]).unwrap();
-        assert_eq!(g3, 3);
-        assert!(!dir.join("stream-1.g2.snsd").exists(), "superseded delta pruned");
-        assert!(dir.join("stream-1.g1.snsc").exists());
-
-        // Gen 4: heavy movement — window slices rotate and the factors
-        // shift, so block matching collapses and the store falls back
-        // to a fresh full file, retiring the old base and delta.
+        // Gen 3: stream 1 again, after more traffic.
         let _ = a.ingest_batch(&tuples(1)[40..]).unwrap();
-        let (g4, m4) = store.save_incremental(&[snaps(&mut a)]).unwrap();
-        assert_eq!(g4, 4);
-        let row1 = m4.iter().find(|e| e.stream_id == 1).unwrap();
-        assert_eq!(row1.kind, SnapshotKind::Full);
-        assert!(!dir.join("stream-1.g1.snsc").exists(), "unreferenced base pruned");
-        assert!(!dir.join("stream-1.g3.snsd").exists(), "superseded delta pruned");
+        let (g3, m3) = store.save_incremental(&[snaps(&mut a)]).unwrap();
+        assert_eq!(g3, 3);
+        assert!(m3.iter().all(|e| e.kind == SnapshotKind::Full));
+        assert!(!dir.join("stream-1.g2.snsc").exists(), "superseded file pruned");
+        assert_eq!(snapshot_files(&dir), ["stream-1.g3.snsc", "stream-2.g1.snsc"]);
 
         let loaded = store.load().unwrap();
         assert_eq!(loaded.len(), 2);
         assert_eq!(to_bytes(&loaded[0]), to_bytes(&snaps(&mut a)));
         assert_eq!(to_bytes(&loaded[1]), to_bytes(&snaps(&mut b)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A commit that fails at the manifest — after every snapshot file
+    /// is written — leaves the previous checkpoint loadable byte for
+    /// byte, through `checkpoint_pool` (replace) and `save_incremental`
+    /// (merge) alike. A retry once the fault is gone commits, and prunes
+    /// the files the failed attempt orphaned.
+    #[test]
+    fn a_failed_manifest_commit_leaves_the_previous_checkpoint_loadable() {
+        type Commit =
+            fn(&EnginePool, &CheckpointStore, &mut [StreamSession]) -> Result<(), SnsError>;
+        let replace: Commit = |pool, store, _| checkpoint_pool(pool, store).map(drop);
+        let merge: Commit = |_, store, sessions| {
+            let snapshots: Vec<_> = sessions.iter_mut().map(|s| s.snapshot().unwrap()).collect();
+            store.save_incremental(&snapshots).map(drop)
+        };
+        for (tag, commit) in [("replace", replace), ("merge", merge)] {
+            let dir = temp_dir(&format!("failedcommit-{tag}"));
+            let store = CheckpointStore::create(&dir).unwrap();
+            let pool =
+                EnginePool::new(PoolConfig { shards: 2, base_seed: 4, ..Default::default() });
+            let mut sessions: Vec<_> = [1u64, 2].map(|id| pool.open(id, spec()).unwrap()).into();
+            for s in &mut sessions {
+                let id = s.stream_id();
+                let _ = s.ingest_batch(&tuples(id)[..30]).unwrap();
+            }
+            commit(&pool, &store, &mut sessions).unwrap();
+            let first: Vec<Vec<u8>> = store.load().unwrap().iter().map(to_bytes).collect();
+            let first_files = snapshot_files(&dir);
+
+            for s in &mut sessions {
+                let id = s.stream_id();
+                let _ = s.ingest_batch(&tuples(id)[30..60]).unwrap();
+            }
+            let blocker = dir.join(format!("{MANIFEST}.tmp"));
+            fs::create_dir(&blocker).unwrap();
+            match commit(&pool, &store, &mut sessions) {
+                Err(SnsError::Io { .. }) => {}
+                other => panic!("{tag}: expected Io, got {other:?}"),
+            }
+            let loaded: Vec<Vec<u8>> = store.load().unwrap().iter().map(to_bytes).collect();
+            assert!(loaded == first, "{tag}: the failed commit damaged the previous checkpoint");
+            let orphans: Vec<String> =
+                snapshot_files(&dir).into_iter().filter(|f| !first_files.contains(f)).collect();
+            assert_eq!(orphans.len(), 2, "{tag}: the failed attempt wrote both files");
+
+            // Retry without stream 2, so its orphan is not rewritten.
+            fs::remove_dir(&blocker).unwrap();
+            sessions.pop().unwrap().close();
+            commit(&pool, &store, &mut sessions).unwrap();
+            let files: Vec<String> =
+                store.manifest().unwrap().into_iter().map(|e| e.file).collect();
+            let mut want = files.clone();
+            want.sort();
+            assert_eq!(snapshot_files(&dir), want, "{tag}: unreferenced files must be pruned");
+            assert!(orphans.iter().any(|f| !files.contains(f)), "{tag}: an orphan was pruned");
+            let loaded = store.load().unwrap();
+            let row1 = loaded.iter().find(|s| s.stream_id == 1).unwrap();
+            assert!(to_bytes(row1) == to_bytes(&sessions[0].snapshot().unwrap()), "{tag}");
+            drop(sessions);
+            pool.join();
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A manifest row an older build wrote for a delta snapshot fails
+    /// `load` and `recover_pool` with a typed `Codec { Invalid }` that
+    /// names the row, and recovery stays all-or-nothing.
+    #[test]
+    fn a_legacy_delta_row_is_refused_typed() {
+        let dir = temp_dir("legacydelta");
+        let store = CheckpointStore::create(&dir).unwrap();
+        let pool = EnginePool::new(PoolConfig { shards: 2, base_seed: 6, ..Default::default() });
+        let ids = [1u64, 2, 3, 4];
+        let mut sessions: Vec<_> = ids.iter().map(|&id| pool.open(id, spec()).unwrap()).collect();
+        for (s, &id) in sessions.iter_mut().zip(&ids) {
+            let _ = s.ingest_batch(&tuples(id)[..30]).unwrap();
+        }
+        let rows = checkpoint_pool(&pool, &store).unwrap();
+        drop(sessions);
+        pool.join();
+
+        let victim = &rows[2];
+        let manifest = fs::read_to_string(store.manifest_path()).unwrap();
+        let row = format!(
+            "file {} bytes {} crc {:016x} kind full base -",
+            victim.file, victim.bytes, victim.crc
+        );
+        assert!(manifest.contains(&row));
+        let delta = format!(
+            "file {} bytes {} crc {:016x} kind delta base {}",
+            victim.file, victim.bytes, victim.crc, rows[0].file
+        );
+        fs::write(store.manifest_path(), manifest.replace(&row, &delta)).unwrap();
+        let refused = |e: &SnsError| match e {
+            SnsError::Codec { fault: CodecFault::Invalid, detail, .. } => {
+                detail.contains("stream 3") && detail.contains(&victim.file)
+            }
+            _ => false,
+        };
+        let serial = store.load().map(|s| s.len()).unwrap_err();
+        assert!(refused(&serial), "load: {serial:?}");
+
+        let pool = EnginePool::new(PoolConfig { shards: 2, base_seed: 6, ..Default::default() });
+        let mut events = pool.ops().subscribe();
+        let err = recover_pool(&pool, &store).map(|s| s.len()).unwrap_err();
+        assert_eq!(err, serial, "recovery must fail like the serial load");
+        assert!(pool.checkpoint_all().is_empty(), "a failed recovery left live slots");
+        let (mut opened, mut closed) = (Vec::new(), Vec::new());
+        for item in events.drain() {
+            let sns_ops::BusItem::Event(event) = item else { continue };
+            match *event {
+                sns_ops::PoolEvent::StreamMigrated { stream_id, .. } => opened.push(stream_id),
+                sns_ops::PoolEvent::StreamEvicted {
+                    stream_id,
+                    reason: sns_ops::EvictReason::Closed,
+                    ..
+                } => closed.push(stream_id),
+                _ => {}
+            }
+        }
+        opened.sort_unstable();
+        closed.sort_unstable();
+        assert!(!opened.contains(&3), "the delta row's stream was installed");
+        assert_eq!(closed, opened, "every session the call opened must be closed");
+        pool.join();
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -448,23 +448,6 @@ impl WalSet {
         Ok(wal)
     }
 
-    /// Stream ids with at least one segment on disk, ascending.
-    ///
-    /// # Errors
-    /// [`SnsError::Io`] if the directory cannot be listed.
-    pub fn streams(&self) -> Result<Vec<u64>, SnsError> {
-        let mut ids: Vec<u64> = Vec::new();
-        for entry in fs::read_dir(&self.dir).map_err(|e| io_err(&self.dir, e))? {
-            let entry = entry.map_err(|e| io_err(&self.dir, e))?;
-            if let Some((id, _)) = entry.file_name().to_str().and_then(parse_segment_name) {
-                ids.push(id);
-            }
-        }
-        ids.sort_unstable();
-        ids.dedup();
-        Ok(ids)
-    }
-
     /// Reads a stream's journal tail: every record with
     /// `seq > after_seq`, across all of its segments, in sequence
     /// order. This is the recovery read

@@ -574,7 +574,8 @@ fn a_bad_snapshot_file_fails_recovery_typed_and_all_or_nothing() {
     drop(sessions);
     drop(doomed); // the crash
 
-    let file = |id: u64| store.dir().join(format!("stream-{id}.snsc"));
+    let rows = store.manifest().unwrap();
+    let file = |id: u64| store.dir().join(&rows.iter().find(|e| e.stream_id == id).unwrap().file);
     let victim = file(3);
     let good = std::fs::read(&victim).unwrap();
     let manifest = std::fs::read_to_string(store.manifest_path()).unwrap();

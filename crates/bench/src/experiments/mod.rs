@@ -1,11 +1,6 @@
 //! One module per paper table/figure. Every module exposes
 //! `run(scale: f64) -> String`; the binaries print that string, and
 //! `run_all` concatenates everything for `EXPERIMENTS.md`.
-//!
-//! [`fleet`] is not a paper figure: it is the shards × streams
-//! aggregate-throughput grid behind `bench fleet`, documented in the
-//! README. It stays until the repo benchmark gains a shard-scaling
-//! workload.
 
 pub mod fig1;
 pub mod fig4;
@@ -14,7 +9,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod fleet;
 pub mod table2;
 pub mod table3;
 

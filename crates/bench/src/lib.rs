@@ -1,9 +1,10 @@
 //! # sns-bench
 //!
 //! Experiment harnesses reproducing every table and figure of the
-//! SliceNStitch paper, the
-//! `bench` binary's throughput, resource and fleet measurements, plus
-//! Criterion micro-benchmarks of the hot kernels.
+//! SliceNStitch paper, the `bench` binary's per-method serial
+//! throughput floor, plus Criterion micro-benchmarks of the hot kernels.
+//! Pooled serving throughput, allocations and shard scaling are measured
+//! by the repo benchmark (`perfbench/`), not here.
 //!
 //! Correctness guarantees of the serving stack (pooled ≡ serial, crash
 //! recovery and quarantine replay ≡ an uninterrupted run) are not

@@ -366,9 +366,15 @@ fn list_segments(dir: &Path, stream_id: u64) -> Result<Vec<(u64, PathBuf)>, SnsE
     Ok(out)
 }
 
-/// [`WalSet::read_tail`] over the WAL directory `dir`. It needs no
-/// open [`WalSet`], so a recovery loader can run it on the stream's
-/// shard worker.
+/// Reads a stream's journal tail from the WAL directory `dir`: every
+/// record with `seq > after_seq`, across all of its segments, in
+/// sequence order. This is the recovery read (`after_seq` = the
+/// restored snapshot's `wal_seq`). It needs no open [`WalSet`], so a
+/// recovery loader can run it on the stream's shard worker.
+///
+/// # Errors
+/// [`SnsError::Io`] on unreadable files; [`SnsError::Codec`] on
+/// structural corruption (torn tails are *not* errors).
 pub(crate) fn read_tail(
     dir: &Path,
     stream_id: u64,
@@ -446,18 +452,6 @@ impl WalSet {
         let wal = Arc::new(Mutex::new(wal));
         map.insert(stream_id, Arc::clone(&wal));
         Ok(wal)
-    }
-
-    /// Reads a stream's journal tail: every record with
-    /// `seq > after_seq`, across all of its segments, in sequence
-    /// order. This is the recovery read
-    /// (`after_seq` = the restored snapshot's `wal_seq`).
-    ///
-    /// # Errors
-    /// [`SnsError::Io`] on unreadable files; [`SnsError::Codec`] on
-    /// structural corruption (torn tails are *not* errors).
-    pub fn read_tail(&self, stream_id: u64, after_seq: u64) -> Result<Vec<WalRecord>, SnsError> {
-        read_tail(&self.dir, stream_id, after_seq)
     }
 
     /// Rotates a stream onto a fresh `gen` segment after a checkpoint
@@ -611,14 +605,14 @@ mod tests {
                 (12, JournalOp::AdvanceTo(99)),
             ],
         );
-        let tail = wal.read_tail(3, 0).unwrap();
+        let tail = read_tail(&dir, 3, 0).unwrap();
         assert_eq!(tail.len(), 4);
         assert_eq!(tail[0].op, JournalOp::Prefill(batch.clone()));
         assert_eq!(tail[1].op, JournalOp::WarmStart(opts));
         assert_eq!(tail[2].op, JournalOp::Ingest(batch));
         assert_eq!(tail[3].op, JournalOp::AdvanceTo(99));
-        assert_eq!(wal.read_tail(3, 6).unwrap().len(), 2, "tail filter is seq > after_seq");
-        assert_eq!(wal.read_tail(3, 12).unwrap().len(), 0);
+        assert_eq!(read_tail(&dir, 3, 6).unwrap().len(), 2, "tail filter is seq > after_seq");
+        assert_eq!(read_tail(&dir, 3, 12).unwrap().len(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -652,7 +646,7 @@ mod tests {
         fs::write(&path, &full[..full.len() - 3]).unwrap();
         let wal = WalSet::create(&dir).unwrap();
         journal_all(&wal, 1, &[(5, JournalOp::AdvanceTo(8))]);
-        let tail = wal.read_tail(1, 0).unwrap();
+        let tail = read_tail(&dir, 1, 0).unwrap();
         assert_eq!(
             tail.iter().map(|r| r.seq).collect::<Vec<_>>(),
             vec![3, 5],
@@ -689,7 +683,7 @@ mod tests {
         wal.record(JournalEntry { stream_id: 9, seq: 2, ticket: 0, op });
         wal.record(JournalEntry { stream_id: 9, seq: 1, ticket: 0, op });
         assert_eq!(wal.error().map(|e| e.to_string()), None);
-        assert_eq!(wal.read_tail(9, 0).unwrap().len(), 2);
+        assert_eq!(read_tail(&dir, 9, 0).unwrap().len(), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -703,11 +697,11 @@ mod tests {
         journal_all(&wal, 4, &[(3, JournalOp::AdvanceTo(3))]);
         wal.rotate(4, 2, 2).unwrap();
         assert!(dir.join(segment_file_name(4, 1)).exists(), "g1 holds uncommitted seq 3");
-        let tail = wal.read_tail(4, 2).unwrap();
+        let tail = read_tail(&dir, 4, 2).unwrap();
         assert_eq!(tail.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![3]);
         // Stale rotation (gen going backwards) is a no-op.
         wal.rotate(4, 1, 99).unwrap();
-        assert_eq!(wal.read_tail(4, 0).unwrap().len(), 1);
+        assert_eq!(read_tail(&dir, 4, 0).unwrap().len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -771,6 +765,86 @@ mod tests {
             reference,
             "recovered stream diverged from the uninterrupted run"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A crash right after a rotation leaves the fresh segment holding
+    /// only its header while records past the checkpoint sit in the
+    /// previous one. Recovery must replay them once, re-journal them
+    /// without duplicating a sequence number across segments, and a
+    /// second crash and recovery must end where an uninterrupted run
+    /// does.
+    #[test]
+    fn crash_right_after_rotation_then_recover_twice() {
+        let dir = temp_dir("rotate-crash");
+        let wal = Arc::new(WalSet::create(dir.join("wal")).unwrap());
+        let store = CheckpointStore::create(dir.join("ckpt")).unwrap();
+        let config = SnsConfig { rank: 2, theta: 2, ..Default::default() };
+        let spec = EngineSpec::sns(&[4, 3], 3, 10, AlgorithmKind::PlusRnd, &config);
+        let trace = tuples(60, 0);
+        let journaled_pool = |wal: &Arc<WalSet>| {
+            EnginePool::new(PoolConfig {
+                shards: 1,
+                base_seed: 7,
+                journal: Some(Arc::clone(wal) as Arc<dyn BatchJournal>),
+                ..Default::default()
+            })
+        };
+
+        // Reference: an uninterrupted journaled run over the 50 tuples the
+        // doomed run acknowledges (journaled too, so `wal_seq` matches).
+        let reference = {
+            let pool = journaled_pool(&Arc::new(WalSet::create(dir.join("ref-wal")).unwrap()));
+            let mut s = pool.open(5, spec.clone()).unwrap();
+            let _ = s.ingest_batch(&trace[..50]).unwrap();
+            crate::to_bytes(&s.snapshot().unwrap())
+        };
+
+        {
+            let pool = journaled_pool(&wal);
+            let mut s = pool.open(5, spec.clone()).unwrap();
+            let _ = s.ingest_batch(&trace[..40]).unwrap();
+            let snapshots: Vec<_> =
+                pool.checkpoint_all().into_iter().map(|(_, r)| r.unwrap()).collect();
+            assert_eq!(snapshots[0].wal_seq, 40);
+            let (gen, _) = store.save_incremental(&snapshots).unwrap();
+            // Records 41..=50 land in g0 *before* the rotation (daemon race:
+            // ingest continues while save_incremental runs).
+            let _ = s.ingest_batch(&trace[40..50]).unwrap();
+            wal.rotate(5, gen, snapshots[0].wal_seq).unwrap();
+            // Crash immediately after rotation: g1 holds only its header.
+            drop(s);
+            pool.join();
+        }
+        drop(wal);
+
+        // First recovery on a reopened WalSet.
+        let wal = Arc::new(WalSet::create(dir.join("wal")).unwrap());
+        {
+            let pool = journaled_pool(&wal);
+            let (sessions, replayed) = recover_pool_wal(&pool, &store, &wal).unwrap();
+            assert_eq!(replayed, 10);
+            assert!(wal.error().is_none(), "wal error: {:?}", wal.error());
+            drop(sessions);
+            pool.join();
+        }
+        drop(wal);
+
+        // Second crash + recovery: must also succeed, and end where the
+        // uninterrupted run did.
+        let wal = Arc::new(WalSet::create(dir.join("wal")).unwrap());
+        let tail = read_tail(wal.dir(), 5, 40);
+        tail.expect("read_tail after rotate-crash-recover cycle must not report corruption");
+        let pool = journaled_pool(&wal);
+        let (mut sessions, replayed) = recover_pool_wal(&pool, &store, &wal).unwrap();
+        assert_eq!(replayed, 10);
+        assert!(wal.error().is_none(), "wal error: {:?}", wal.error());
+        assert!(
+            crate::to_bytes(&sessions[0].snapshot().unwrap()) == reference,
+            "the second recovery diverged from the uninterrupted run"
+        );
+        drop(sessions);
+        pool.join();
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -103,32 +103,12 @@ impl KruskalTensor {
         }
     }
 
-    /// Normalizes every factor's columns to unit ℓ₂ norm, folding the
-    /// scales into `λ` (multiplied in). Zero columns get `λ_r = 0`.
-    pub fn normalize_columns(&mut self) {
-        let r = self.rank();
-        for f in &mut self.factors {
-            for k in 0..r {
-                let norm: f64 = (0..f.rows()).map(|i| f[(i, k)] * f[(i, k)]).sum::<f64>().sqrt();
-                if norm > 0.0 {
-                    self.lambda[k] *= norm;
-                    for i in 0..f.rows() {
-                        f[(i, k)] /= norm;
-                    }
-                } else {
-                    self.lambda[k] = 0.0;
-                }
-            }
-        }
-    }
-
     /// Folds the weights `λ` into the factor matrices, distributing
     /// `λ_r^{1/M}` to each mode's column `r`, and resets `λ = 1`. The
     /// reconstruction is unchanged. The fast updaters require this form
     /// (they model `X̃ = [[A(1),…,A(M)]]` without weights).
     ///
-    /// Negative weights (which column normalization never produces, but a
-    /// caller could) keep their sign on the first mode.
+    /// Negative weights keep their sign on the first mode.
     pub fn distribute_lambda(&mut self) {
         let m = self.order() as f64;
         for r in 0..self.rank() {
@@ -243,33 +223,6 @@ mod tests {
         let dense = k.reconstruct_dense();
         let direct = dense.norm().powi(2);
         assert!((from_grams - direct).abs() < 1e-9 * (1.0 + direct), "{from_grams} vs {direct}");
-    }
-
-    #[test]
-    fn normalization_preserves_reconstruction() {
-        let mut k = sample();
-        let before = k.reconstruct_dense();
-        k.normalize_columns();
-        let after = k.reconstruct_dense();
-        assert!(before.dist(&after) < 1e-9);
-        // Columns are unit norm.
-        for f in &k.factors {
-            for r in 0..k.rank() {
-                let n: f64 = (0..f.rows()).map(|i| f[(i, r)] * f[(i, r)]).sum::<f64>().sqrt();
-                assert!((n - 1.0).abs() < 1e-10);
-            }
-        }
-    }
-
-    #[test]
-    fn normalization_zero_column() {
-        let mut k = KruskalTensor::zeros(&[2, 2], 2);
-        k.factors[0][(0, 0)] = 1.0;
-        k.factors[1][(0, 0)] = 2.0;
-        // Column 1 is all-zero in both factors.
-        k.normalize_columns();
-        assert_eq!(k.lambda[1], 0.0);
-        assert!((k.lambda[0] - 2.0).abs() < 1e-12);
     }
 
     #[test]

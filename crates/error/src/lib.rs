@@ -231,12 +231,6 @@ impl SnsError {
             other => other,
         }
     }
-
-    /// True for errors a client can retry verbatim later (currently only
-    /// [`SnsError::Backpressure`]).
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, SnsError::Backpressure { .. })
-    }
 }
 
 impl fmt::Display for SnsError {
@@ -389,10 +383,6 @@ mod tests {
         assert_eq!(e.accepted(), Some(3));
         assert_eq!(e.root_cause(), &inner);
         assert_eq!(inner.accepted(), None);
-        let bp = SnsError::Backpressure { stream_id: 0, shard: 0, depth: 1, capacity: 1 };
-        assert!(bp.is_retryable());
-        assert!(!inner.is_retryable());
-        assert!(!SnsError::StreamQuarantined { stream_id: 0, pending: 1 }.is_retryable());
     }
 
     #[test]

@@ -112,18 +112,6 @@ pub fn hadamard_assign(a: &mut Mat, b: &Mat) -> Result<()> {
     Ok(())
 }
 
-/// Hadamard product of a sequence of equally-shaped matrices.
-///
-/// Returns the identity-like all-ones matrix if `mats` is empty and a shape
-/// cannot be inferred, hence `shape` must be supplied by the caller.
-pub fn hadamard_all(mats: &[&Mat], shape: (usize, usize)) -> Result<Mat> {
-    let mut out = Mat::filled(shape.0, shape.1, 1.0);
-    for m in mats {
-        hadamard_assign(&mut out, m)?;
-    }
-    Ok(out)
-}
-
 /// Khatri–Rao product `A ⊙ B` (column-wise Kronecker).
 ///
 /// For `A ∈ R^{I×R}` and `B ∈ R^{J×R}` the result is `(I·J) × R` with
@@ -219,13 +207,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     y.iter_mut().zip(x).for_each(|(yi, &xi)| *yi += alpha * xi);
 }
 
-/// Element-wise product accumulation: `acc[k] *= row[k]`.
-#[inline]
-pub fn had_in(acc: &mut [f64], row: &[f64]) {
-    debug_assert_eq!(acc.len(), row.len());
-    acc.iter_mut().zip(row).for_each(|(a, &r)| *a *= r);
-}
-
 /// `out = row · M` for a row vector and matrix (`out[k] = Σ_r row[r]·M[r,k]`).
 pub fn row_times_mat(row: &[f64], m: &Mat, out: &mut [f64]) {
     debug_assert_eq!(row.len(), m.rows());
@@ -237,12 +218,6 @@ pub fn row_times_mat(row: &[f64], m: &Mat, out: &mut [f64]) {
         }
         axpy(v, m.row(r), out);
     }
-}
-
-/// Euclidean norm of a slice.
-#[inline]
-pub fn norm2(v: &[f64]) -> f64 {
-    v.iter().map(|x| x * x).sum::<f64>().sqrt()
 }
 
 #[cfg(test)]
@@ -314,12 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_all_identity_when_empty() {
-        let c = hadamard_all(&[], (2, 2)).unwrap();
-        assert_eq!(c, Mat::filled(2, 2, 1.0));
-    }
-
-    #[test]
     fn khatri_rao_shape_and_values() {
         let a = Mat::from_rows(&[&[1., 2.], &[3., 4.]]);
         let b = Mat::from_rows(&[&[5., 6.], &[7., 8.], &[9., 10.]]);
@@ -374,10 +343,6 @@ mod tests {
         let mut y = [1., 1., 1.];
         axpy(2.0, &a, &mut y);
         assert_eq!(y, [3., 5., 7.]);
-        let mut acc = [2., 2., 2.];
-        had_in(&mut acc, &a);
-        assert_eq!(acc, [2., 4., 6.]);
-        assert!((norm2(&[3., 4.]) - 5.0).abs() < 1e-15);
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl EventQueue {
         }
     }
 
-    /// Earliest pending due time, if any.
-    pub fn peek_due(&self) -> Option<u64> {
-        self.heap.peek().map(|e| e.due)
-    }
-
     /// All pending events, sorted by `(due, seq)` — the exact pop order.
     /// Pop order is the total order on `(due, seq)` regardless of the
     /// heap's internal layout, so this canonical listing plus
@@ -125,7 +120,6 @@ mod tests {
         q.schedule(10, 1, tup(0));
         q.schedule(20, 1, tup(0));
         assert_eq!(q.len(), 3);
-        assert_eq!(q.peek_due(), Some(10));
         assert_eq!(q.pop_due(100).unwrap().due, 10);
         assert_eq!(q.pop_due(100).unwrap().due, 20);
         assert_eq!(q.pop_due(100).unwrap().due, 30);

@@ -154,13 +154,6 @@ impl ContinuousWindow {
         Ok(())
     }
 
-    /// Convenience wrapper returning the deltas as a fresh vector.
-    pub fn ingest_vec(&mut self, tuple: StreamTuple) -> Result<Vec<Delta>> {
-        let mut out = Vec::with_capacity(2);
-        self.ingest(tuple, &mut out)?;
-        Ok(out)
-    }
-
     /// Captures the complete window state — tensor (with iteration
     /// orders), pending boundary events, and clock — for durable
     /// serialization. [`ContinuousWindow::from_state`] rebuilds a window
@@ -478,13 +471,6 @@ mod tests {
         let d = out[0];
         let (c, v) = d.changes.as_slice()[0];
         assert_eq!(w.tensor().get(&c), v);
-    }
-
-    #[test]
-    fn ingest_vec_convenience() {
-        let mut w = ContinuousWindow::new(&[2, 2], 2, 10);
-        let out = w.ingest_vec(tup(0, 0, 1.0, 0)).unwrap();
-        assert_eq!(out.len(), 1);
     }
 
     #[test]

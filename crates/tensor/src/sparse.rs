@@ -384,11 +384,6 @@ impl SparseTensor {
         self.norm_sq().sqrt()
     }
 
-    /// Indices along `mode` that currently have at least one non-zero.
-    pub fn used_indices(&self, mode: usize) -> impl Iterator<Item = u32> + '_ {
-        self.fibers[mode].keys().copied()
-    }
-
     /// Removes every entry, keeping the shape.
     pub fn clear(&mut self) {
         self.entries = IndexedCoordSet::new();
@@ -669,19 +664,6 @@ mod tests {
         assert_eq!(t.norm(), 0.0);
         assert_eq!(t.deg(0, 0), 0);
         assert!(t.check_invariants().is_ok());
-    }
-
-    #[test]
-    fn used_indices_reflect_content() {
-        let mut t = small();
-        t.add(&c(1, 0, 0), 1.0);
-        t.add(&c(3, 0, 2), 1.0);
-        let mut used: Vec<u32> = t.used_indices(0).collect();
-        used.sort_unstable();
-        assert_eq!(used, vec![1, 3]);
-        let mut used_t: Vec<u32> = t.used_indices(2).collect();
-        used_t.sort_unstable();
-        assert_eq!(used_t, vec![0, 2]);
     }
 
     #[test]

@@ -75,12 +75,12 @@ impl PeriodicCpd for AlsPeriodic {
         self.grams = grams;
     }
 
-    fn capture(&self) -> Result<crate::state::BaselineAlgoState, sns_stream::SnsError> {
-        Ok(crate::state::BaselineAlgoState::AlsPeriodic {
+    fn capture(&self) -> crate::state::BaselineAlgoState {
+        crate::state::BaselineAlgoState::AlsPeriodic {
             kruskal: self.kruskal.clone(),
             grams: self.grams.clone(),
             sweeps: self.sweeps,
-        })
+        }
     }
 }
 

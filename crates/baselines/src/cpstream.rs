@@ -245,15 +245,15 @@ impl PeriodicCpd for CpStream {
         self.grams = grams;
     }
 
-    fn capture(&self) -> Result<crate::state::BaselineAlgoState, sns_stream::SnsError> {
-        Ok(crate::state::BaselineAlgoState::CpStream {
+    fn capture(&self) -> crate::state::BaselineAlgoState {
+        crate::state::BaselineAlgoState::CpStream {
             kruskal: self.kruskal.clone(),
             grams: self.grams.clone(),
             p_hist: self.p_hist.clone(),
             g_hist: self.g_hist.clone(),
             mu: self.mu,
             inner_iters: self.inner_iters,
-        })
+        }
     }
 }
 

@@ -3,7 +3,7 @@
 use crate::periodic::PeriodicCpd;
 use crate::state::BaselineEngineState;
 use sns_core::als::{warm_start_from, AlsOptions, AlsResult};
-use sns_stream::{DiscreteWindow, PeriodUpdate, SnsError, StreamTuple};
+use sns_stream::{DiscreteWindow, PeriodUpdate, StreamTuple};
 use sns_tensor::SparseTensor;
 
 /// A conventional-model engine: tuples go into a [`DiscreteWindow`]; the
@@ -30,8 +30,9 @@ impl<B: PeriodicCpd> BaselineEngine<B> {
     /// Returns how many periods completed.
     ///
     /// # Errors
-    /// The window's validation error, or [`SnsError::Diverged`] when a
-    /// period update fails; periods before the failing one stay applied.
+    /// The window's validation error, or
+    /// [`SnsError::Diverged`](sns_stream::SnsError::Diverged) when a period
+    /// update fails; periods before the failing one stay applied.
     pub fn ingest(&mut self, tuple: StreamTuple) -> sns_stream::Result<usize> {
         self.buf.clear();
         self.window.ingest(tuple, &mut self.buf)?;
@@ -42,8 +43,8 @@ impl<B: PeriodicCpd> BaselineEngine<B> {
     /// completed.
     ///
     /// # Errors
-    /// [`SnsError::Diverged`] when a period update fails; periods before
-    /// the failing one stay applied.
+    /// [`SnsError::Diverged`](sns_stream::SnsError::Diverged) when a period
+    /// update fails; periods before the failing one stay applied.
     pub fn flush_to(&mut self, t: u64) -> sns_stream::Result<usize> {
         self.buf.clear();
         self.window.flush_to(t, &mut self.buf);
@@ -106,17 +107,12 @@ impl<B: PeriodicCpd> BaselineEngine<B> {
     /// as plain serializable data. A
     /// [`BaselineEngineState::into_engine`] rebuild continues
     /// bitwise-identically.
-    ///
-    /// # Errors
-    /// [`SnsError::SnapshotUnsupported`] if the wrapped algorithm has no
-    /// capture path (external [`PeriodicCpd`] impls that keep the
-    /// default opt-out).
-    pub fn capture_state(&self) -> Result<BaselineEngineState, SnsError> {
-        Ok(BaselineEngineState {
+    pub fn capture_state(&self) -> BaselineEngineState {
+        BaselineEngineState {
             window: self.window.capture_state(),
-            algo: self.algo.capture()?,
+            algo: self.algo.capture(),
             periods: self.periods,
-        })
+        }
     }
 }
 
@@ -136,6 +132,7 @@ impl BaselineEngine<Box<dyn PeriodicCpd>> {
 mod tests {
     use super::*;
     use crate::als_periodic::AlsPeriodic;
+    use sns_stream::SnsError;
 
     #[test]
     fn engine_drives_baseline_per_period() {

@@ -185,14 +185,14 @@ impl PeriodicCpd for NeCpd {
         }
     }
 
-    fn capture(&self) -> Result<crate::state::BaselineAlgoState, sns_stream::SnsError> {
-        Ok(crate::state::BaselineAlgoState::NeCpd {
+    fn capture(&self) -> crate::state::BaselineAlgoState {
+        crate::state::BaselineAlgoState::NeCpd {
             kruskal: self.kruskal.clone(),
             grams: self.grams.clone(),
             epochs: self.epochs,
             periods_seen: self.periods_seen,
             rng: self.rng.state(),
-        })
+        }
     }
 }
 

@@ -91,11 +91,11 @@ impl PeriodicCpd for OnlineScp {
         self.kruskal = kruskal;
     }
 
-    fn capture(&self) -> Result<crate::state::BaselineAlgoState, sns_stream::SnsError> {
-        Ok(crate::state::BaselineAlgoState::OnlineScp {
+    fn capture(&self) -> crate::state::BaselineAlgoState {
+        crate::state::BaselineAlgoState::OnlineScp {
             kruskal: self.kruskal.clone(),
             grams: self.grams.clone(),
-        })
+        }
     }
 }
 

@@ -33,12 +33,8 @@ pub trait PeriodicCpd {
 
     /// Captures the algorithm's carried-forward state
     /// ([`BaselineAlgoState`]) so the baseline can be frozen and resumed
-    /// bitwise-identically. All four workspace baselines implement this;
-    /// the default is the **explicit opt-out** for external algorithms
-    /// whose internals have no capture path.
-    fn capture(&self) -> Result<BaselineAlgoState, SnsError> {
-        Err(SnsError::SnapshotUnsupported { engine: self.name() })
-    }
+    /// bitwise-identically.
+    fn capture(&self) -> BaselineAlgoState;
 
     /// Fitness against a window tensor.
     fn fitness(&self, window: &SparseTensor) -> f64 {
@@ -69,7 +65,7 @@ impl<P: PeriodicCpd + ?Sized> PeriodicCpd for Box<P> {
         (**self).install(kruskal, grams)
     }
 
-    fn capture(&self) -> Result<BaselineAlgoState, SnsError> {
+    fn capture(&self) -> BaselineAlgoState {
         (**self).capture()
     }
 

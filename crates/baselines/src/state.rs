@@ -208,7 +208,7 @@ mod tests {
                 original.ingest(tu).unwrap();
             }
             // Capture mid-stream — including a half-full pending unit.
-            let state = original.capture_state().unwrap();
+            let state = original.capture_state();
             let mut restored = state.into_engine().unwrap();
             for tu in tuples(150) {
                 let tu = StreamTuple { time: tu.time + 150, ..tu };
@@ -233,7 +233,7 @@ mod tests {
     fn into_engine_rejects_mismatched_dims() {
         let algo: Box<dyn PeriodicCpd> = Box::new(OnlineScp::new(&[5, 4, 3], 2, 8));
         let engine = BaselineEngine::new(&[5, 4], 3, 10, algo);
-        let mut state = engine.capture_state().unwrap();
+        let mut state = engine.capture_state();
         // Swap in factors of the wrong shape.
         state.algo = BaselineAlgoState::OnlineScp {
             kruskal: OnlineScp::new(&[2, 2, 3], 2, 1).kruskal().clone(),
@@ -246,7 +246,7 @@ mod tests {
     fn debug_is_compact() {
         let algo: Box<dyn PeriodicCpd> = Box::new(CpStream::new(&[5, 4, 3], 2, 0.98, 2, 9));
         let engine = BaselineEngine::new(&[5, 4], 3, 10, algo);
-        let dbg = format!("{:?}", engine.capture_state().unwrap());
+        let dbg = format!("{:?}", engine.capture_state());
         assert!(dbg.contains("CP-stream") && dbg.len() < 120, "{dbg}");
     }
 }

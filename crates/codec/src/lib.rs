@@ -243,7 +243,7 @@ mod tests {
     use super::*;
     use sns_core::config::{AlgorithmKind, SnsConfig};
     use sns_core::engine::SnsEngine;
-    use sns_runtime::{EngineSpec, StateCapture};
+    use sns_runtime::{EngineSpec, StreamingCpd};
     use sns_stream::StreamTuple;
 
     fn snapshot() -> EngineSnapshot {
@@ -257,7 +257,7 @@ mod tests {
             spec: EngineSpec::sns(&[4, 3], 3, 10, AlgorithmKind::PlusRnd, &config),
             seed: 0xabc,
             wal_seq: 0,
-            state: e.capture().unwrap(),
+            state: e.snapshot().unwrap(),
         }
     }
 
@@ -412,7 +412,7 @@ mod tests {
             spec: EngineSpec::sns(&[4, 3], 3, 10, AlgorithmKind::PlusVec, &config),
             seed: 0xf00d,
             wal_seq: 0,
-            state: e.capture().unwrap(),
+            state: e.snapshot().unwrap(),
         };
         let bytes = to_bytes(&snap);
         let decoded = from_bytes(&bytes).unwrap();
@@ -436,7 +436,7 @@ mod tests {
                 spec: snap.spec.clone(),
                 seed: 0xf00d,
                 wal_seq: 0,
-                state: e.capture().unwrap(),
+                state: e.snapshot().unwrap(),
             }),
             "restored engine drifted from the original"
         );

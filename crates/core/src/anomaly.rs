@@ -196,15 +196,6 @@ impl AnomalyDetector {
         sorted
     }
 
-    /// Precision@k against a ground-truth predicate on coordinates+time.
-    pub fn precision_at_k(&self, k: usize, is_true_anomaly: impl Fn(&ScoredEvent) -> bool) -> f64 {
-        let top = self.top_k(k);
-        if top.is_empty() {
-            return 0.0;
-        }
-        top.iter().filter(|e| is_true_anomaly(e)).count() as f64 / top.len() as f64
-    }
-
     /// Captures the detector's complete state — streaming statistics,
     /// retained event log, retention cap — for durable serialization.
     pub fn capture_state(&self) -> DetectorState {
@@ -306,20 +297,12 @@ mod tests {
         let top = det.top_k(1);
         assert_eq!(top[0].coord, spike);
         assert_eq!(top[0].time, t);
-        // Precision@1 with the spike event (identified by time) as truth.
-        let spike_time = t;
-        let p = det.precision_at_k(1, |e| e.time == spike_time);
-        assert_eq!(p, 1.0);
-        // Precision@k beyond recorded events degrades to hits/total.
-        let p_all = det.precision_at_k(100, |e| e.time == spike_time);
-        assert!((p_all - 0.1).abs() < 1e-9, "p@100 = {p_all}");
     }
 
     #[test]
     fn empty_detector_behaviour() {
         let det = AnomalyDetector::new();
         assert!(det.top_k(5).is_empty());
-        assert_eq!(det.precision_at_k(5, |_| true), 0.0);
         assert!(det.events().is_empty());
         assert_eq!(det.scored(), 0);
     }

@@ -41,11 +41,6 @@ impl AlgorithmKind {
     pub fn is_stable(&self) -> bool {
         matches!(self, AlgorithmKind::Mat | AlgorithmKind::PlusVec | AlgorithmKind::PlusRnd)
     }
-
-    /// True for the sampling variants (which consume `θ`).
-    pub fn uses_sampling(&self) -> bool {
-        matches!(self, AlgorithmKind::Rnd | AlgorithmKind::PlusRnd)
-    }
 }
 
 impl std::fmt::Display for AlgorithmKind {
@@ -147,8 +142,6 @@ mod tests {
         assert_eq!(AlgorithmKind::ALL.len(), 5);
         assert!(AlgorithmKind::PlusRnd.is_stable());
         assert!(!AlgorithmKind::Vec.is_stable());
-        assert!(AlgorithmKind::Rnd.uses_sampling());
-        assert!(!AlgorithmKind::Mat.uses_sampling());
         assert_eq!(AlgorithmKind::PlusVec.to_string(), "SNS+_VEC");
     }
 }

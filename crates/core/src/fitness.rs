@@ -47,13 +47,6 @@ pub fn fitness_with_grams(x: &SparseTensor, k: &KruskalTensor, grams: &[Mat]) ->
     1.0 - (resid_sq.sqrt() / x_sq.sqrt())
 }
 
-/// Relative fitness (Section VI-A): `fitness_target / fitness_reference`,
-/// where the reference is conventionally batch ALS on the same window.
-/// Returns `NaN` when the reference fitness is zero.
-pub fn relative_fitness(target: f64, reference: f64) -> f64 {
-    target / reference
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,12 +110,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(12);
         let kr = KruskalTensor::random(&mut rng, &[2, 2], 1, 1.0);
         assert_eq!(fitness(&x, &kr), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn relative_fitness_ratio() {
-        assert!((relative_fitness(0.36, 0.48) - 0.75).abs() < 1e-12);
-        assert!(relative_fitness(0.1, 0.0).is_infinite() || relative_fitness(0.1, 0.0).is_nan());
     }
 
     #[test]

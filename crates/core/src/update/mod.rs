@@ -70,10 +70,10 @@ pub trait ContinuousUpdater {
 /// Enum dispatch over the five updaters (avoids `dyn` in hot loops and
 /// keeps engines trivially movable).
 ///
-/// `Clone` deep-copies the factors, Gram matrices, and — for the
-/// sampling variants — the RNG mid-stream state, so a clone continues
-/// bitwise-identically to the original (the basis of engine snapshots).
-#[derive(Clone)]
+/// [`Updater::capture_state`] freezes the factors, Gram matrices, and —
+/// for the sampling variants — the RNG mid-stream state as an
+/// [`UpdaterState`], from which a rebuilt updater continues
+/// bitwise-identically (the basis of engine snapshots).
 pub enum Updater {
     /// SNS_MAT.
     Mat(SnsMat),

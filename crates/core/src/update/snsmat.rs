@@ -16,7 +16,6 @@ use sns_stream::Delta;
 use sns_tensor::SparseTensor;
 
 /// The SNS_MAT updater.
-#[derive(Clone)]
 pub struct SnsMat {
     kruskal: KruskalTensor,
     grams: Vec<Mat>,

@@ -69,7 +69,6 @@ fn model_row(prev_row: &[f64], g_hat: &Mat, out: &mut [f64]) {
 }
 
 /// The SNS⁺_VEC updater (Algorithm 5, `updateRowVec+`).
-#[derive(Clone)]
 pub struct SnsPlusVec {
     state: FactorState,
     eta: f64,
@@ -182,7 +181,6 @@ impl ContinuousUpdater for SnsPlusVec {
 }
 
 /// The SNS⁺_RND updater (Algorithm 5, `updateRowRan+`).
-#[derive(Clone)]
 pub struct SnsPlusRnd {
     state: FactorState,
     prev_grams: Vec<Mat>,

@@ -35,7 +35,6 @@ use sns_stream::Delta;
 use sns_tensor::SparseTensor;
 
 /// The SNS_RND updater.
-#[derive(Clone)]
 pub struct SnsRnd {
     state: FactorState,
     /// `U(m) = A_prev(m)ᵀ A(m)` — refreshed from `Q` at each event start.

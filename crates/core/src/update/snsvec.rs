@@ -20,7 +20,6 @@ use sns_stream::Delta;
 use sns_tensor::SparseTensor;
 
 /// The SNS_VEC updater.
-#[derive(Clone)]
 pub struct SnsVec {
     state: FactorState,
     ws: KernelWorkspace,

@@ -21,9 +21,9 @@
 //!   updates left a factor untouched — reuse both the matrix and its
 //!   factor outright, and even a stale rebuild reuses the storage.
 //!
-//! Every updater owns one workspace; `Clone` deep-copies it so cloned
-//! engines (snapshots) keep their caches warm and continue
-//! bitwise-identically.
+//! Every updater owns one workspace. It holds caches and scratch, not
+//! state: engine snapshots leave it out, and a restored engine starts
+//! from a fresh workspace and still continues bitwise-identically.
 
 use sns_linalg::cached::SymSolveCache;
 use sns_linalg::lstsq::GRAM_PIVOT_RTOL;
@@ -33,7 +33,7 @@ use sns_tensor::Coord;
 
 /// Scratch vectors for per-event row updates — no allocation in steady
 /// state.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct RowBufs {
     /// Khatri–Rao row product buffer (`R`).
     pub prod: Vec<f64>,
@@ -67,7 +67,7 @@ impl RowBufs {
 }
 
 /// One mode's cached `H(m)` and factorization.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct HCache {
     /// `H(m) = ∗_{n≠m} Q(n)`, rebuilt in place when stale.
     h: Mat,
@@ -89,7 +89,7 @@ struct HCache {
 /// counters — never matrix contents — so staleness checks are `O(M)`.
 ///
 /// [`FactorState::gram_versions`]: crate::update::FactorState::gram_versions
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct GramSolves {
     modes: Vec<HCache>,
 }
@@ -192,7 +192,7 @@ impl GramSolves {
 /// allocation: row scratch, sampling buffers, the cached `H(m)`
 /// solves for both the live Grams and (for the sampling variants) the
 /// event-start `A_prevᵀA` Grams.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct KernelWorkspace {
     /// Scratch vectors.
     pub bufs: RowBufs,

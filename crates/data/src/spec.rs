@@ -72,21 +72,6 @@ impl DatasetSpec {
             seed,
         }
     }
-
-    /// The paper's parameter count for conventional CPD at time-mode
-    /// granularity `t_interval` (Fig. 1d): `R · (Σ N_m + span/t_interval)`,
-    /// with the window spanning `W · period` ticks.
-    pub fn conventional_parameters(&self, t_interval: u64) -> usize {
-        let cat: usize = self.base_dims.iter().sum();
-        let time_len = (self.window as u64 * self.period / t_interval.max(1)) as usize;
-        self.rank * (cat + time_len.max(1))
-    }
-
-    /// Parameter count for the continuous model: `R · (Σ N_m + W)`.
-    pub fn continuous_parameters(&self) -> usize {
-        let cat: usize = self.base_dims.iter().sum();
-        self.rank * (cat + self.window)
-    }
 }
 
 #[cfg(test)]
@@ -97,21 +82,6 @@ mod tests {
     fn duration_covers_prefill_plus_measurement() {
         let d = nytaxi_like();
         assert_eq!(d.duration(), 6 * d.window as u64 * d.period);
-    }
-
-    #[test]
-    fn parameter_counts() {
-        let d = nytaxi_like();
-        // Continuous: R(N1+N2+W)
-        let cat: usize = d.base_dims.iter().sum();
-        assert_eq!(d.continuous_parameters(), d.rank * (cat + d.window));
-        // 1-second granularity blows the time mode up by T per unit; the
-        // overall parameter ratio is diluted by the categorical modes
-        // (Fig. 1d annotates 55×–256× on NY Taxi).
-        let fine = d.conventional_parameters(1);
-        let coarse = d.conventional_parameters(d.period);
-        assert!(fine > coarse * 50, "fine {fine} vs coarse {coarse}");
-        assert_eq!(coarse, d.rank * (cat + d.window));
     }
 
     #[test]

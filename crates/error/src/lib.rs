@@ -116,13 +116,6 @@ pub enum SnsError {
         /// Dead letters pending for the stream (including this one).
         pending: usize,
     },
-    /// The engine does not implement state capture; only engines with a
-    /// bitwise-faithful snapshot (currently the continuous `SnsEngine`)
-    /// can migrate between shards.
-    SnapshotUnsupported {
-        /// Display name of the engine.
-        engine: String,
-    },
     /// A shard index was out of range for the pool.
     ShardOutOfRange {
         /// Requested shard.
@@ -278,9 +271,6 @@ impl fmt::Display for SnsError {
                      batches pending replay)"
                 )
             }
-            SnsError::SnapshotUnsupported { engine } => {
-                write!(f, "engine {engine} does not support snapshots")
-            }
             SnsError::ShardOutOfRange { shard, shards } => {
                 write!(f, "shard {shard} out of range (pool has {shards})")
             }
@@ -342,9 +332,6 @@ mod tests {
         assert!(SnsError::EnginePanicked { stream_id: 1, message: "boom".into() }
             .to_string()
             .contains("boom"));
-        assert!(SnsError::SnapshotUnsupported { engine: "ALS(1)".into() }
-            .to_string()
-            .contains("snapshot"));
         assert!(SnsError::ShardOutOfRange { shard: 7, shards: 4 }.to_string().contains('7'));
         assert!(SnsError::Diverged { engine: "OnlineSCP".into(), detail: "NaN".into() }
             .to_string()

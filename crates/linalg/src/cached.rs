@@ -40,7 +40,7 @@ fn backward_sub_upper_inv(lt: &Mat, inv_diag: &[f64], y: &mut [f64]) {
 }
 
 /// The factorization state held by a [`SymSolveCache`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum SymFactor {
     /// No factorization yet ([`SymSolveCache::refactor`] not called).
     Empty,
@@ -60,7 +60,7 @@ enum SymFactor {
 /// tolerance → same Cholesky-vs-pseudoinverse decision, same substitution
 /// order), but split the factorization from the solve so it can be reused
 /// across right-hand sides and cached across events.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SymSolveCache {
     kind: SymFactor,
     /// Cholesky factor `L` (valid when `kind == Chol`).
@@ -87,11 +87,6 @@ impl SymSolveCache {
             lt: Mat::zeros(0, 0),
             inv_diag: Vec::new(),
         }
-    }
-
-    /// True once a factorization is held.
-    pub fn is_factored(&self) -> bool {
-        !matches!(self.kind, SymFactor::Empty)
     }
 
     /// Factorizes `h` (Cholesky with relative pivot tolerance `rel_tol`,
@@ -159,9 +154,7 @@ mod tests {
             h[(i, i)] += 0.1;
         }
         let mut cache = SymSolveCache::new();
-        assert!(!cache.is_factored());
         cache.refactor(&h, GRAM_PIVOT_RTOL);
-        assert!(cache.is_factored());
         for _ in 0..4 {
             let u: Vec<f64> = (0..5).map(|_| rng.gen::<f64>() * 4.0 - 2.0).collect();
             let mut fast = vec![0.0; 5];

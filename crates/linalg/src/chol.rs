@@ -1,22 +1,14 @@
-//! Cholesky factorization and SPD linear solves.
+//! Cholesky factorization and triangular solves.
 //!
 //! The normal-equation matrices `H = ∗ AᵀA` arising in ALS are symmetric
 //! positive semi-definite; when they are strictly positive definite a
-//! Cholesky solve is the cheapest option. [`solve_spd`] falls back to a
-//! pseudoinverse-based solve only when the factorization fails, matching
-//! the `H†` used in the paper.
+//! Cholesky solve is the cheapest option. The solvers that fall back to
+//! the `H†` used in the paper when the factorization fails live in
+//! [`crate::lstsq`] ([`solve_row_sym`](crate::lstsq::solve_row_sym),
+//! [`solve_xh_eq_u`](crate::lstsq::solve_xh_eq_u)) and
+//! [`crate::cached`].
 
 use crate::{LinalgError, Mat, Result};
-
-/// Computes the lower-triangular Cholesky factor `L` with `A = L·Lᵀ`.
-///
-/// # Errors
-/// Returns [`LinalgError::NotSquare`] for non-square input and
-/// [`LinalgError::NotPositiveDefinite`] when a pivot is not strictly
-/// positive.
-pub fn cholesky(a: &Mat) -> Result<Mat> {
-    cholesky_with_tol(a, 0.0)
-}
 
 /// Cholesky with a *relative* pivot threshold: factorization fails as
 /// "not positive definite" if any pivot drops below
@@ -155,44 +147,6 @@ pub fn solve_chol_in_place(l: &Mat, b: &mut [f64]) {
     backward_sub_t(l, b);
 }
 
-/// Solves `A·X = B` (column-by-column) for SPD `A`, trying Cholesky first
-/// and falling back to the eigendecomposition pseudoinverse when `A` is
-/// singular or indefinite. This is the `H†`-style solve of Eq. (4).
-pub fn solve_spd(a: &Mat, b: &Mat) -> Result<Mat> {
-    if a.rows() != a.cols() {
-        return Err(LinalgError::NotSquare { op: "solve_spd", shape: a.shape() });
-    }
-    if a.rows() != b.rows() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "solve_spd",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    match cholesky(a) {
-        Ok(l) => {
-            let n = a.rows();
-            let mut x = Mat::zeros(n, b.cols());
-            let mut col = vec![0.0; n];
-            for j in 0..b.cols() {
-                for i in 0..n {
-                    col[i] = b[(i, j)];
-                }
-                solve_chol_in_place(&l, &mut col);
-                for i in 0..n {
-                    x[(i, j)] = col[i];
-                }
-            }
-            Ok(x)
-        }
-        Err(_) => {
-            // Singular or indefinite: use the Moore–Penrose pseudoinverse.
-            let pinv = crate::pinv::pinv_sym(a)?;
-            crate::ops::matmul(&pinv, b)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,7 +167,7 @@ mod tests {
     #[test]
     fn cholesky_reconstructs() {
         let a = spd(6, 1);
-        let l = cholesky(&a).unwrap();
+        let l = cholesky_with_tol(&a, 0.0).unwrap();
         let rec = matmul(&l, &l.transpose()).unwrap();
         for i in 0..6 {
             for j in 0..6 {
@@ -230,45 +184,16 @@ mod tests {
 
     #[test]
     fn cholesky_rejects_non_square() {
-        assert!(matches!(cholesky(&Mat::zeros(2, 3)), Err(LinalgError::NotSquare { .. })));
+        assert!(matches!(
+            cholesky_with_tol(&Mat::zeros(2, 3), 0.0),
+            Err(LinalgError::NotSquare { .. })
+        ));
     }
 
     #[test]
     fn cholesky_rejects_indefinite() {
         let a = Mat::from_rows(&[&[1., 2.], &[2., 1.]]); // eigenvalues 3, −1
-        assert!(matches!(cholesky(&a), Err(LinalgError::NotPositiveDefinite { .. })));
-    }
-
-    #[test]
-    fn solve_recovers_known_solution() {
-        let a = spd(5, 2);
-        let mut rng = StdRng::seed_from_u64(3);
-        let x_true = Mat::random(&mut rng, 5, 3, 1.0);
-        let b = matmul(&a, &x_true).unwrap();
-        let x = solve_spd(&a, &b).unwrap();
-        for i in 0..5 {
-            for j in 0..3 {
-                assert!((x[(i, j)] - x_true[(i, j)]).abs() < 1e-8);
-            }
-        }
-    }
-
-    #[test]
-    fn solve_spd_falls_back_on_singular() {
-        // Rank-1 PSD matrix: Cholesky fails, pinv path must still produce
-        // the minimum-norm solution.
-        let v = Mat::from_rows(&[&[1.0], &[2.0]]);
-        let a = matmul(&v, &v.transpose()).unwrap(); // [[1,2],[2,4]]
-        let b = Mat::from_rows(&[&[1.0], &[2.0]]); // in the column space
-        let x = solve_spd(&a, &b).unwrap();
-        let residual = crate::ops::sub(&matmul(&a, &x).unwrap(), &b).unwrap();
-        assert!(residual.frob_norm() < 1e-10);
-    }
-
-    #[test]
-    fn solve_spd_validates_shapes() {
-        assert!(solve_spd(&Mat::zeros(2, 3), &Mat::zeros(2, 1)).is_err());
-        assert!(solve_spd(&Mat::identity(2), &Mat::zeros(3, 1)).is_err());
+        assert!(matches!(cholesky_with_tol(&a, 0.0), Err(LinalgError::NotPositiveDefinite { .. })));
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //!
 //! - [`Mat`]: a row-major dense matrix with cheap row views,
 //! - [`ops`]: products (matmul, Gram, Hadamard, Khatri–Rao), sums, norms,
-//! - [`chol`]: Cholesky factorization and SPD solves,
+//! - [`chol`]: Cholesky factorization and triangular solves,
 //! - [`cached`]: reusable factorizations for repeated row solves,
 //! - [`eigen`]: Jacobi eigendecomposition for symmetric matrices,
-//! - [`pinv`]: Moore–Penrose pseudoinverse (symmetric PSD and general),
-//! - [`lstsq`]: small least-squares solves via normal equations.
+//! - [`pinv`]: Moore–Penrose pseudoinverse of symmetric PSD matrices,
+//! - [`lstsq`]: `x = u·H†` solves against symmetric PSD Gram systems
+//!   (Cholesky, with a pseudoinverse fallback).
 //!
 //! All kernels are written for matrices whose smaller dimension is ~10–100,
 //! which is the regime of the paper (rank `R = 20`); none of them allocate

@@ -1,51 +1,13 @@
 //! Small least-squares solves via normal equations.
 //!
-//! All LS problems in this workspace have at most a few dozen unknowns, so
-//! the normal-equation route (`x = (AᵀA)† Aᵀ b`) is accurate enough and
-//! far cheaper than QR for our shapes.
+//! All LS problems in this workspace have at most a few dozen unknowns and
+//! arrive already in normal-equation form: a symmetric PSD Gram-side
+//! matrix `H` and right-hand sides `U`, solved as `X = U·H†`. That route
+//! is accurate enough and far cheaper than QR for our shapes.
 
-use crate::ops::{matmul, matmul_transa};
+use crate::ops::matmul;
 use crate::pinv::pinv_sym;
 use crate::{LinalgError, Mat, Result};
-
-/// Solves `min ‖A·x − b‖₂` for a single right-hand side.
-///
-/// Returns the minimum-norm solution when `A` is rank deficient.
-pub fn lstsq(a: &Mat, b: &[f64]) -> Result<Vec<f64>> {
-    if a.rows() != b.len() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "lstsq",
-            lhs: a.shape(),
-            rhs: (b.len(), 1),
-        });
-    }
-    let bm = Mat::from_vec(b.len(), 1, b.to_vec());
-    let x = lstsq_multi(a, &bm)?;
-    Ok(x.as_slice().to_vec())
-}
-
-/// Solves `min ‖A·X − B‖_F` column-wise for multiple right-hand sides.
-pub fn lstsq_multi(a: &Mat, b: &Mat) -> Result<Mat> {
-    if a.rows() != b.rows() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "lstsq_multi",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    let g = matmul_transa(a, a)?; // AᵀA
-    let rhs = matmul_transa(a, b)?; // AᵀB
-    let gi = pinv_sym(&g)?;
-    matmul(&gi, &rhs)
-}
-
-/// Solves the row-form LS problem `min ‖x·Gᵀ − row‖` that appears in the
-/// paper's Eq. (12): given the Gram-side matrix `h = KᵀK` (already the
-/// Hadamard of Grams) and the MTTKRP row `u = row·K`, the solution is
-/// `x = u · h†`. Writes into `out`.
-pub fn solve_row(u: &[f64], h_pinv: &Mat, out: &mut [f64]) {
-    crate::ops::row_times_mat(u, h_pinv, out);
-}
 
 /// Relative pivot threshold below which a Gram system is treated as
 /// rank-deficient and solved by truncated pseudoinverse instead of an
@@ -116,83 +78,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn exact_system_recovered() {
-        let a = Mat::from_rows(&[&[1., 0.], &[0., 2.], &[1., 1.]]);
-        let x_true = [3.0, -1.0];
-        let b: Vec<f64> = (0..3).map(|i| a[(i, 0)] * x_true[0] + a[(i, 1)] * x_true[1]).collect();
-        let x = lstsq(&a, &b).unwrap();
-        assert!((x[0] - 3.0).abs() < 1e-10);
-        assert!((x[1] + 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn overdetermined_minimizes_residual() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let a = Mat::random(&mut rng, 20, 4, 1.0);
-        let b: Vec<f64> = (0..20).map(|_| rand::Rng::gen::<f64>(&mut rng)).collect();
-        let x = lstsq(&a, &b).unwrap();
-        // Perturbing the solution must not decrease the residual.
-        let resid = |x: &[f64]| -> f64 {
-            (0..20)
-                .map(|i| {
-                    let pred: f64 = (0..4).map(|j| a[(i, j)] * x[j]).sum();
-                    (pred - b[i]).powi(2)
-                })
-                .sum()
-        };
-        let base = resid(&x);
-        for j in 0..4 {
-            for delta in [-1e-3, 1e-3] {
-                let mut xp = x.clone();
-                xp[j] += delta;
-                assert!(resid(&xp) >= base - 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn rank_deficient_gives_min_norm() {
-        // A has two identical columns: solutions form a line; the
-        // pseudoinverse picks the minimum-norm point (equal split).
-        let a = Mat::from_rows(&[&[1., 1.], &[2., 2.]]);
-        let b = [2.0, 4.0];
-        let x = lstsq(&a, &b).unwrap();
-        assert!((x[0] - 1.0).abs() < 1e-10);
-        assert!((x[1] - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn shape_validation() {
-        assert!(lstsq(&Mat::zeros(3, 2), &[1.0; 4]).is_err());
-        assert!(lstsq_multi(&Mat::zeros(3, 2), &Mat::zeros(4, 1)).is_err());
-    }
-
-    #[test]
-    fn multi_rhs_matches_single() {
-        let mut rng = StdRng::seed_from_u64(32);
-        let a = Mat::random(&mut rng, 10, 3, 1.0);
-        let b = Mat::random(&mut rng, 10, 2, 1.0);
-        let x = lstsq_multi(&a, &b).unwrap();
-        for j in 0..2 {
-            let col: Vec<f64> = (0..10).map(|i| b[(i, j)]).collect();
-            let xj = lstsq(&a, &col).unwrap();
-            for i in 0..3 {
-                assert!((x[(i, j)] - xj[i]).abs() < 1e-10);
-            }
-        }
-    }
-
-    #[test]
-    fn solve_row_is_row_times_mat() {
-        let h = Mat::from_rows(&[&[2., 0.], &[0., 4.]]);
-        let hp = pinv_sym(&h).unwrap();
-        let mut out = [0.0; 2];
-        solve_row(&[2.0, 8.0], &hp, &mut out);
-        assert!((out[0] - 1.0).abs() < 1e-12);
-        assert!((out[1] - 2.0).abs() < 1e-12);
-    }
 
     #[test]
     fn solve_row_sym_matches_pinv_route() {

@@ -197,26 +197,6 @@ impl Mat {
         self.data.iter().all(|x| x.is_finite())
     }
 
-    /// Appends a row at the bottom (used by growing time-mode factors).
-    ///
-    /// # Panics
-    /// Panics if `values.len() != cols`.
-    pub fn push_row(&mut self, values: &[f64]) {
-        assert_eq!(values.len(), self.cols, "push_row: wrong length");
-        self.data.extend_from_slice(values);
-        self.rows += 1;
-    }
-
-    /// Removes the first row, shifting all others up (sliding time window).
-    ///
-    /// # Panics
-    /// Panics if the matrix has no rows.
-    pub fn pop_front_row(&mut self) {
-        assert!(self.rows > 0, "pop_front_row on empty matrix");
-        self.data.drain(0..self.cols);
-        self.rows -= 1;
-    }
-
     /// Shifts all rows up by one and zero-fills the last row
     /// (`row[i] ← row[i+1]`, `row[last] ← 0`). Used when the tensor window
     /// slides by one period: the oldest time index disappears and a fresh
@@ -342,17 +322,6 @@ mod tests {
         assert_eq!(m.row(1), &[5., 6.]);
         m.row_mut(0)[1] = 9.0;
         assert_eq!(m[(0, 1)], 9.0);
-    }
-
-    #[test]
-    fn push_and_pop_rows() {
-        let mut m = Mat::from_rows(&[&[1., 2.], &[3., 4.]]);
-        m.push_row(&[5., 6.]);
-        assert_eq!(m.rows(), 3);
-        assert_eq!(m.row(2), &[5., 6.]);
-        m.pop_front_row();
-        assert_eq!(m.rows(), 2);
-        assert_eq!(m.row(0), &[3., 4.]);
     }
 
     #[test]

@@ -3,11 +3,10 @@
 //! The paper's update rules apply `H†` where `H = ∗_{n≠m} A(n)ᵀA(n)` is a
 //! symmetric PSD `R × R` matrix that can be rank-deficient (e.g. when a
 //! factor column collapses). [`pinv_sym`] computes `H†` through the Jacobi
-//! eigendecomposition with a relative spectral cutoff; [`pinv`] handles
-//! general rectangular matrices through the Gram trick for completeness.
+//! eigendecomposition with a relative spectral cutoff; it is the only
+//! pseudoinverse the streaming algorithms need.
 
 use crate::eigen::eigen_sym;
-use crate::ops::{matmul, matmul_transa};
 use crate::{LinalgError, Mat, Result, EPS_FACTOR};
 
 /// Pseudoinverse of a symmetric matrix via eigendecomposition.
@@ -49,31 +48,10 @@ pub fn pinv_sym(a: &Mat) -> Result<Mat> {
     Ok(out)
 }
 
-/// Pseudoinverse of a general rectangular matrix.
-///
-/// Uses `A† = (AᵀA)† Aᵀ` when `rows ≥ cols` and `A† = Aᵀ (AAᵀ)†`
-/// otherwise. Accurate enough for the small, well-scaled systems in this
-/// workspace; the streaming algorithms themselves only ever need
-/// [`pinv_sym`].
-pub fn pinv(a: &Mat) -> Result<Mat> {
-    if a.rows() == 0 || a.cols() == 0 {
-        return Ok(Mat::zeros(a.cols(), a.rows()));
-    }
-    if a.rows() >= a.cols() {
-        let g = matmul_transa(a, a)?; // AᵀA
-        let gi = pinv_sym(&g)?;
-        matmul(&gi, &a.transpose())
-    } else {
-        let g = matmul(a, &a.transpose())?; // AAᵀ
-        let gi = pinv_sym(&g)?;
-        matmul(&a.transpose(), &gi)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::gram;
+    use crate::ops::{gram, matmul};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -130,26 +108,7 @@ mod tests {
     }
 
     #[test]
-    fn pinv_tall_and_wide_penrose() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let tall = Mat::random(&mut rng, 7, 3, 1.0);
-        penrose(&tall, &pinv(&tall).unwrap(), 1e-8);
-        let wide = Mat::random(&mut rng, 3, 7, 1.0);
-        penrose(&wide, &pinv(&wide).unwrap(), 1e-8);
-    }
-
-    #[test]
-    fn pinv_of_identity_is_identity() {
-        let p = pinv(&Mat::identity(4)).unwrap();
-        assert!(approx(&p, &Mat::identity(4), 1e-10));
-    }
-
-    #[test]
     fn pinv_empty_shapes() {
-        let p = pinv(&Mat::zeros(0, 3)).unwrap();
-        assert_eq!(p.shape(), (3, 0));
-        let p = pinv(&Mat::zeros(3, 0)).unwrap();
-        assert_eq!(p.shape(), (0, 3));
         let p = pinv_sym(&Mat::zeros(0, 0)).unwrap();
         assert_eq!(p.shape(), (0, 0));
     }

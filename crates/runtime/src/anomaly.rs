@@ -25,7 +25,7 @@
 //! [`StreamReport`](crate::pool::StreamReport) carries the
 //! [`AnomalySummary`] back to the session.
 
-use crate::snapshot::{EngineState, StateCapture};
+use crate::snapshot::EngineState;
 use crate::streaming::{BatchOutcome, StreamingCpd};
 use sns_core::als::{AlsOptions, AlsResult};
 use sns_core::anomaly::{AnomalyDetector, DetectorState, ScoredEvent, ZScoreTracker};
@@ -148,7 +148,7 @@ impl AnomalyCpd {
     ///
     /// # Errors
     /// Propagates the wrapped engine's
-    /// [`SnsError::SnapshotUnsupported`] if it has no capture path.
+    /// [`snapshot`](StreamingCpd::snapshot) error.
     pub fn capture_state(&self) -> Result<AnomalyState, SnsError> {
         Ok(AnomalyState {
             inner: self.inner.snapshot()?,
@@ -274,7 +274,7 @@ impl StreamingCpd for AnomalyCpd {
     }
 
     fn snapshot(&self) -> Result<EngineState, SnsError> {
-        StateCapture::capture(self)
+        Ok(EngineState::Anomaly(Box::new(self.capture_state()?)))
     }
 
     fn anomalies(&self) -> Option<AnomalySummary> {
@@ -409,53 +409,6 @@ mod tests {
         assert_eq!(original.fitness().to_bits(), restored.fitness().to_bits());
         for m in 0..3 {
             assert_eq!(original.kruskal().factors[m], restored.kruskal().factors[m], "mode {m}");
-        }
-    }
-
-    #[test]
-    fn capture_propagates_inner_opt_out() {
-        // An engine without a capture path keeps the decorator honest:
-        // migrating only the detector would silently drop the model.
-        struct NoCapture(Box<dyn StreamingCpd>);
-        impl StreamingCpd for NoCapture {
-            fn prefill(&mut self, t: StreamTuple) -> sns_stream::Result<()> {
-                self.0.prefill(t)
-            }
-            fn warm_start(&mut self, o: &AlsOptions) -> sns_core::als::AlsResult {
-                self.0.warm_start(o)
-            }
-            fn ingest(&mut self, t: StreamTuple) -> sns_stream::Result<usize> {
-                self.0.ingest(t)
-            }
-            fn advance_to(&mut self, t: u64) -> usize {
-                self.0.advance_to(t)
-            }
-            fn window(&self) -> &SparseTensor {
-                self.0.window()
-            }
-            fn kruskal(&self) -> &KruskalTensor {
-                self.0.kruskal()
-            }
-            fn fitness(&self) -> f64 {
-                self.0.fitness()
-            }
-            fn diverged(&self) -> bool {
-                self.0.diverged()
-            }
-            fn updates_applied(&self) -> u64 {
-                self.0.updates_applied()
-            }
-            fn num_parameters(&self) -> usize {
-                self.0.num_parameters()
-            }
-            fn name(&self) -> String {
-                "opaque".to_string()
-            }
-        }
-        let wrapped = AnomalyCpd::new(Box::new(NoCapture(engine())), AnomalyConfig::default());
-        match wrapped.snapshot() {
-            Err(SnsError::SnapshotUnsupported { engine }) => assert_eq!(engine, "opaque"),
-            other => panic!("expected SnapshotUnsupported, got {:?}", other.map(|_| ())),
         }
     }
 }

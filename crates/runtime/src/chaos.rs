@@ -20,7 +20,7 @@
 //! which is exactly what makes a repaired replay comparable against a
 //! clean serial run.
 
-use crate::snapshot::{EngineState, StateCapture};
+use crate::snapshot::EngineState;
 use crate::streaming::{BatchOutcome, StreamingCpd};
 use sns_core::als::{AlsOptions, AlsResult};
 use sns_core::kruskal::KruskalTensor;
@@ -100,12 +100,6 @@ impl ChaosCpd {
     }
 }
 
-impl StateCapture for ChaosCpd {
-    fn capture(&self) -> Result<EngineState, SnsError> {
-        Ok(EngineState::Chaos(Box::new(self.capture_state()?)))
-    }
-}
-
 impl StreamingCpd for ChaosCpd {
     fn prefill(&mut self, tuple: StreamTuple) -> sns_stream::Result<()> {
         self.trip(&tuple);
@@ -175,7 +169,7 @@ impl StreamingCpd for ChaosCpd {
     }
 
     fn snapshot(&self) -> Result<EngineState, SnsError> {
-        StateCapture::capture(self)
+        Ok(EngineState::Chaos(Box::new(self.capture_state()?)))
     }
 
     fn anomalies(&self) -> Option<crate::anomaly::AnomalySummary> {

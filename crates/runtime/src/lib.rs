@@ -121,7 +121,7 @@ pub use chaos::{ChaosConfig, ChaosCpd, ChaosState, POISON_VALUE};
 pub use journal::{BatchJournal, JournalEntry, JournalOp};
 pub use ops::{PoolDeadLetter, PoolDlq, PoolEventBus, PoolOps, QuarantinePolicy};
 pub use pool::{BatchReceipt, EnginePool, PoolConfig, StreamReport, StreamSession};
-pub use snapshot::{EngineSnapshot, EngineState, StateCapture};
+pub use snapshot::{EngineSnapshot, EngineState};
 pub use sns_error::SnsError;
 pub use sns_ops::{EvictReason, PoolEvent};
 pub use spec::{BaselineKind, EngineSpec};

@@ -468,8 +468,8 @@ impl StreamSlot {
     }
 
     /// Captures the slot for `Snapshot` and `CheckpointShard`.
-    /// Deliberately not `guard`ed: a capture failure (e.g. an engine
-    /// without snapshot support) must not be recorded as a stream error.
+    /// Deliberately not `guard`ed: a failed capture (a slot gone dark
+    /// after a panic) must not be recorded as a second stream error.
     fn capture(&self) -> Result<EngineSnapshot, SnsError> {
         let engine = self.engine.as_ref().ok_or_else(|| self.dark_error())?;
         engine.snapshot().map(|state| EngineSnapshot {
@@ -1048,8 +1048,7 @@ impl EnginePool {
     /// snapshot reflects exactly the commands acknowledged before it)
     /// and sorted by stream id; sessions stay open and unaffected.
     ///
-    /// Streams whose engine cannot be captured (quarantined after a
-    /// panic, or an engine family with an explicit snapshot opt-out)
+    /// Streams whose engine cannot be captured (gone dark after a panic)
     /// report their typed error in place, so one bad stream never hides
     /// the rest of the fleet's checkpoint.
     ///

@@ -9,15 +9,18 @@
 //! variants, the FIFO tie-breaking of the event queue, and the float
 //! summation orders of the fiber indexes.
 //!
-//! Every engine family in the workspace implements [`StateCapture`]: the
-//! continuous [`SnsEngine`], all four conventional baselines behind
+//! Every engine family in the workspace captures itself through
+//! [`StreamingCpd::snapshot`]: the continuous [`SnsEngine`], all four
+//! conventional baselines behind
 //! [`BaselineEngine`](sns_baselines::BaselineEngine), and the
-//! [`AnomalyCpd`](crate::anomaly::AnomalyCpd) decorator (detector
-//! included). Because the state is structural rather than a live object,
-//! it can leave the process: `sns-codec` serializes an
-//! [`EngineSnapshot`] to a self-describing versioned binary and back,
-//! which is what pool-wide checkpointing and crash recovery are built
-//! on.
+//! [`AnomalyCpd`](crate::anomaly::AnomalyCpd) and
+//! [`ChaosCpd`](crate::chaos::ChaosCpd) decorators (detector and fault
+//! plan included). The inverse is [`EngineState::into_engine`]; the
+//! round trip is bitwise-faithful. Because the state is structural
+//! rather than a live object, it can leave the process: `sns-codec`
+//! serializes an [`EngineSnapshot`] to a self-describing versioned
+//! binary and back, which is what pool-wide checkpointing and crash
+//! recovery are built on.
 
 use crate::spec::EngineSpec;
 use crate::streaming::StreamingCpd;
@@ -42,39 +45,6 @@ pub enum EngineState {
     /// engine. Captured with its wrapper so a quarantine rollback
     /// restores the *decorated* engine (the fault plan survives).
     Chaos(Box<ChaosState>),
-}
-
-/// State capture: freeze a live engine into an [`EngineState`].
-///
-/// The inverse is [`EngineState::into_engine`]. The round trip is
-/// bitwise-faithful: the restored engine produces identical factors,
-/// fitness, receipts, and anomaly scores for any subsequent input.
-pub trait StateCapture {
-    /// Captures the engine's complete live state.
-    ///
-    /// # Errors
-    /// [`SnsError::SnapshotUnsupported`] only for engines that opt out
-    /// explicitly (e.g. a decorator around an external engine without a
-    /// capture path).
-    fn capture(&self) -> Result<EngineState, SnsError>;
-}
-
-impl StateCapture for SnsEngine {
-    fn capture(&self) -> Result<EngineState, SnsError> {
-        Ok(EngineState::Sns(Box::new(self.capture_state())))
-    }
-}
-
-impl<B: sns_baselines::PeriodicCpd> StateCapture for sns_baselines::BaselineEngine<B> {
-    fn capture(&self) -> Result<EngineState, SnsError> {
-        Ok(EngineState::Baseline(Box::new(self.capture_state()?)))
-    }
-}
-
-impl StateCapture for crate::anomaly::AnomalyCpd {
-    fn capture(&self) -> Result<EngineState, SnsError> {
-        Ok(EngineState::Anomaly(Box::new(self.capture_state()?)))
-    }
 }
 
 fn invalid(detail: String) -> SnsError {
@@ -216,7 +186,7 @@ mod tests {
         for t in 0..50u64 {
             e.ingest(StreamTuple::new([(t % 3) as u32, ((t * 2) % 3) as u32], 1.0, t)).unwrap();
         }
-        let state = e.capture().unwrap();
+        let state = e.snapshot().unwrap();
         assert_eq!(state.updates_applied(), e.updates_applied());
         assert_eq!(state.clock(), e.now());
         let mut restored = state.into_engine().unwrap();
@@ -234,7 +204,7 @@ mod tests {
         for t in 0..400u64 {
             e.ingest(StreamTuple::new([(t % 40) as u32, (t % 30) as u32], 1.0, t)).unwrap();
         }
-        let state = e.capture().unwrap();
+        let state = e.snapshot().unwrap();
         let dbg = format!("{state:?}");
         assert!(dbg.len() < 160, "EngineState debug must not dump factors: {dbg}");
         let snapshot = EngineSnapshot {

@@ -126,15 +126,14 @@ pub trait StreamingCpd {
         Ok(BatchOutcome { accepted: tuples.len(), updates })
     }
 
-    /// Captures the engine's complete state for migration and durable
-    /// checkpointing; a restored engine continues bitwise-identically.
-    /// Every workspace engine family implements this (continuous,
-    /// all four baselines, the anomaly decorator); the default is the
-    /// **explicit opt-out** for external engines without a faithful
-    /// capture path.
-    fn snapshot(&self) -> Result<EngineState, SnsError> {
-        Err(SnsError::SnapshotUnsupported { engine: self.name() })
-    }
+    /// Captures the engine's complete live state (factors, Grams,
+    /// window, clocks and the RND variants' sampling RNG) as plain data
+    /// for rollback, migration and durable checkpointing.
+    /// [`EngineState::into_engine`] rebuilds an engine that continues
+    /// bitwise-identically. This is the one capture path: every engine
+    /// must implement it, and a decorator returns the wrapped engine's
+    /// error, if any, with `?`.
+    fn snapshot(&self) -> Result<EngineState, SnsError>;
 
     /// Anomaly-scoring roll-up, if this engine scores its stream
     /// (see [`AnomalyCpd`](crate::anomaly::AnomalyCpd)). Plain engines
@@ -223,7 +222,7 @@ impl StreamingCpd for SnsEngine {
     }
 
     fn snapshot(&self) -> Result<EngineState, SnsError> {
-        crate::snapshot::StateCapture::capture(self)
+        Ok(EngineState::Sns(Box::new(self.capture_state())))
     }
 }
 
@@ -279,7 +278,7 @@ impl<B: PeriodicCpd> StreamingCpd for BaselineEngine<B> {
     }
 
     fn snapshot(&self) -> Result<EngineState, SnsError> {
-        crate::snapshot::StateCapture::capture(self)
+        Ok(EngineState::Baseline(Box::new(self.capture_state())))
     }
 
     fn arrival_residual(&self, tuple: &StreamTuple) -> f64 {

@@ -34,7 +34,6 @@ pub struct PeriodUpdate {
 /// to the baselines — and with it their float summation order — is a
 /// deterministic function of the arrival history that survives state
 /// capture bitwise.
-#[derive(Clone)]
 pub struct DiscreteWindow {
     tensor: SparseTensor,
     period: u64,

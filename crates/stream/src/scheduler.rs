@@ -40,10 +40,11 @@ impl PartialOrd for ScheduledEvent {
 
 /// Min-heap of scheduled events with FIFO tie-breaking.
 ///
-/// `Clone` performs a deep copy; because pop order is the total order on
-/// `(due, seq)`, a clone replays exactly the same event sequence as the
-/// original — the property engine snapshots rely on.
-#[derive(Debug, Default, Clone)]
+/// Pop order is the total order on `(due, seq)`, so a queue rebuilt by
+/// [`EventQueue::from_events`] from [`EventQueue::events_in_order`]
+/// replays exactly the same event sequence as the original — the
+/// property engine snapshots rely on.
+#[derive(Debug, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<ScheduledEvent>,
     next_seq: u64,

@@ -16,10 +16,10 @@ use sns_tensor::{Coord, Shape, SparseTensor, SparseTensorState};
 /// Complexities match Theorems 1–2 of the paper: `O(M·W)` time per tuple
 /// amortized over its `W+1` events, `O(M·|active tuples|)` space.
 ///
-/// `Clone` deep-copies the tensor, the pending event queue, and the
-/// clock, so a clone continues bitwise-identically to the original —
-/// engine snapshot/restore is built on this.
-#[derive(Clone)]
+/// [`ContinuousWindow::capture_state`] freezes the tensor, the pending
+/// event queue, and the clock as plain data, from which
+/// [`ContinuousWindow::from_state`] rebuilds a window that continues
+/// bitwise-identically — engine snapshot/restore is built on this.
 pub struct ContinuousWindow {
     tensor: SparseTensor,
     period: u64,

@@ -37,17 +37,6 @@ impl Coord {
         Coord { order: indices.len() as u8, idx }
     }
 
-    /// Creates a coordinate from `usize` indices (convenience for tests).
-    ///
-    /// # Panics
-    /// Panics if any index exceeds `u32::MAX` or the order exceeds
-    /// [`MAX_ORDER`].
-    pub fn from_usizes(indices: &[usize]) -> Self {
-        let v: Vec<u32> =
-            indices.iter().map(|&i| u32::try_from(i).expect("index fits in u32")).collect();
-        Coord::new(&v)
-    }
-
     /// Number of modes.
     #[inline]
     pub fn order(&self) -> usize {
@@ -152,9 +141,7 @@ mod tests {
     }
 
     #[test]
-    fn from_usizes_and_arrays() {
-        let c = Coord::from_usizes(&[1, 2]);
-        assert_eq!(c, Coord::from([1u32, 2u32]));
+    fn from_arrays() {
         let d: Coord = [5u32, 6, 7].into();
         assert_eq!(d.as_slice(), &[5, 6, 7]);
     }

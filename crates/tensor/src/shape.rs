@@ -68,13 +68,6 @@ impl Shape {
             Coord::new(&idx[..order])
         })
     }
-
-    /// Returns a copy with mode `m` replaced by `len`.
-    pub fn with_dim(&self, m: usize, len: usize) -> Shape {
-        let mut dims = self.dims.clone();
-        dims[m] = len;
-        Shape::new(&dims)
-    }
 }
 
 impl fmt::Debug for Shape {
@@ -136,12 +129,6 @@ mod tests {
         // All distinct.
         let set: std::collections::HashSet<_> = coords.iter().collect();
         assert_eq!(set.len(), 6);
-    }
-
-    #[test]
-    fn with_dim_replaces_one_mode() {
-        let s = Shape::new(&[2, 3]);
-        assert_eq!(s.with_dim(1, 7), Shape::new(&[2, 7]));
     }
 
     #[test]

@@ -525,3 +525,65 @@ fn poisoned_prefill_batch_quarantines_and_replays_bitwise() {
     let pooled = slicenstitch::codec::to_bytes(&session.snapshot().unwrap());
     assert_eq!(pooled, serial, "repaired prefill diverged from its serial reference");
 }
+
+/// Quarantine rollback restores whatever engine the chaos wrapper holds,
+/// not only SNS⁺_RND: SNS⁺_VEC, all four baselines and an
+/// anomaly-decorated SNS⁺_RND each take one poison tuple mid-stream, are
+/// rolled back to their pre-group capture, and replay their repaired
+/// letters to a state byte-identical to a serial run over the repaired
+/// trace.
+#[test]
+fn every_engine_family_rolls_back_and_replays_bitwise() {
+    let pool = EnginePool::new(PoolConfig {
+        shards: 2,
+        base_seed: BASE_SEED,
+        queue_depth: 16,
+        ..Default::default()
+    });
+    let baseline = |algo| EngineSpec::baseline(&DIMS, W, T, 2, algo);
+    let inner = [
+        sns(AlgorithmKind::PlusVec),
+        baseline(BaselineKind::AlsPeriodic { sweeps: 1 }),
+        baseline(BaselineKind::OnlineScp),
+        baseline(BaselineKind::CpStream { decay: 0.98, iters: 2 }),
+        baseline(BaselineKind::NeCpd { epochs: 2 }),
+        sns_spec().with_anomaly(AnomalyConfig::default()),
+    ];
+    for (i, spec) in inner.into_iter().enumerate() {
+        let id = 40 + i as u64;
+        let spec = spec.with_chaos(ChaosConfig::default());
+        let mut tr = trace(id, 300);
+        let c = cut(&tr);
+        let poison = c + (tr.len() - c) / 2;
+        tr[poison].value = POISON_VALUE;
+
+        let mut session = pool.open(id, spec.clone()).unwrap();
+        let rejected = drive(&mut session, &tr).unwrap();
+        assert!(rejected >= 1, "stream {id}: the poison batch must be rejected");
+        let mut repaired = 0;
+        let replayed =
+            session.replay_quarantined(|letter| repaired += repair(&mut letter.tuples)).unwrap();
+        assert_eq!(replayed, rejected, "stream {id}");
+        assert_eq!(repaired, 1, "stream {id}: the poison tuple reaches the dead-letter queue");
+
+        repair(&mut tr);
+        let mut engine = spec.build(stream_seed(BASE_SEED, id));
+        engine.prefill_all(&tr[..c]).unwrap();
+        engine.warm_start(&als());
+        engine.ingest_all(&tr[c..]).unwrap();
+        let serial = slicenstitch::codec::to_bytes(&EngineSnapshot {
+            stream_id: id,
+            spec: spec.clone(),
+            seed: spec.effective_seed(stream_seed(BASE_SEED, id)),
+            wal_seq: 0,
+            state: engine.snapshot().unwrap(),
+        });
+        let pooled = slicenstitch::codec::to_bytes(&session.snapshot().unwrap());
+        assert!(
+            pooled == serial,
+            "stream {id} ({}) diverged from its serial reference",
+            engine.name()
+        );
+    }
+    pool.join();
+}
